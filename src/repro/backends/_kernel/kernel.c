@@ -2,11 +2,17 @@
  *
  * The Python side (repro.backends.native) lowers a compiled op list --
  * (opcode, dst, a, b) tuples over plane slots, see repro.circuits.compiled
- * -- to a flat int32 array once per program, packs the slot planes into
- * two contiguous slabs (plane 0 / plane 1, one row of `words` uint64 lane
- * words per slot, lane j at bit j&63 of word j>>6), and calls
- * repro_run_program once per shard.  The whole gate sweep then runs here
- * without re-entering the interpreter between ops.
+ * -- to a flat int32 array once per program.  Slot planes live in two
+ * slabs (plane 0 / plane 1, one row per slot, lane j at bit j&63 of word
+ * j>>6) and the whole gate sweep runs here without re-entering the
+ * interpreter between ops.  Two entry points share one op-sweep loop
+ * (sweep_ops):
+ *
+ *   repro_run_program               full-width slabs, every slot kept
+ *   repro_rank_range_select_diff    one verification shard: input rows
+ *                                   generated per tile from the
+ *                                   valid-string masks, fused compare --
+ *                                   rank range in, mismatch words out
  *
  * Two-plane Kleene semantics (Table 3 of the paper):
  *   AND: d1 = a1 & b1, d0 = a0 | b0        OR is the plane-dual
@@ -25,7 +31,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNEL_ABI 2
+#define REPRO_KERNEL_ABI 3
 
 #define OP_AND 0
 #define OP_OR 1
@@ -43,196 +49,315 @@ int32_t repro_kernel_abi(void) { return REPRO_KERNEL_ABI; }
  * words, so tiling the word axis does not change results. */
 #define REPRO_TILE_WORDS 256
 
-void repro_run_program(const int32_t *prog, int64_t n_ops, uint64_t *p0,
-                       uint64_t *p1, int64_t words, uint64_t tail_mask) {
-    for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
-        const int64_t t1 =
-            t0 + REPRO_TILE_WORDS < words ? t0 + REPRO_TILE_WORDS : words;
-        const int64_t span = t1 - t0;
-        const int last = t1 == words;
-        for (int64_t i = 0; i < n_ops; i++) {
-            const int32_t op = prog[4 * i];
-            uint64_t *d0 = p0 + (int64_t)prog[4 * i + 1] * words + t0;
-            uint64_t *d1 = p1 + (int64_t)prog[4 * i + 1] * words + t0;
-            const uint64_t *a0 = p0 + (int64_t)prog[4 * i + 2] * words + t0;
-            const uint64_t *a1 = p1 + (int64_t)prog[4 * i + 2] * words + t0;
-            const uint64_t *b0 = p0 + (int64_t)prog[4 * i + 3] * words + t0;
-            const uint64_t *b1 = p1 + (int64_t)prog[4 * i + 3] * words + t0;
-            int64_t w;
-            switch (op) {
-            case OP_AND:
-                for (w = 0; w < span; w++) {
-                    d1[w] = a1[w] & b1[w];
-                    d0[w] = a0[w] | b0[w];
-                }
-                break;
-            case OP_OR:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w] & b0[w];
-                    d1[w] = a1[w] | b1[w];
-                }
-                break;
-            case OP_INV:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a1[w];
-                    d1[w] = a0[w];
-                }
-                break;
-            case OP_XOR:
-                for (w = 0; w < span; w++) {
-                    const uint64_t x0 = a0[w], x1 = a1[w];
-                    const uint64_t y0 = b0[w], y1 = b1[w];
-                    d0[w] = (x0 & y0) | (x1 & y1);
-                    d1[w] = (x0 & y1) | (x1 & y0);
-                }
-                break;
-            default: /* OP_BUF */
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w];
-                    d1[w] = a1[w];
-                }
-                break;
+int64_t repro_tile_words(void) { return REPRO_TILE_WORDS; }
+
+/* The op sweep over `span` words of every slot row; slot s starts at
+ * p0 + s * stride (resp. p1).  `tail` is ANDed into each written row's
+ * last word (all-ones when the span does not end the plane). */
+static void sweep_ops(const int32_t *prog, int64_t n_ops, uint64_t *p0,
+                      uint64_t *p1, int64_t stride, int64_t span,
+                      uint64_t tail) {
+    for (int64_t i = 0; i < n_ops; i++) {
+        const int32_t op = prog[4 * i];
+        uint64_t *d0 = p0 + (int64_t)prog[4 * i + 1] * stride;
+        uint64_t *d1 = p1 + (int64_t)prog[4 * i + 1] * stride;
+        const uint64_t *a0 = p0 + (int64_t)prog[4 * i + 2] * stride;
+        const uint64_t *a1 = p1 + (int64_t)prog[4 * i + 2] * stride;
+        const uint64_t *b0 = p0 + (int64_t)prog[4 * i + 3] * stride;
+        const uint64_t *b1 = p1 + (int64_t)prog[4 * i + 3] * stride;
+        int64_t w;
+        switch (op) {
+        case OP_AND:
+            for (w = 0; w < span; w++) {
+                d1[w] = a1[w] & b1[w];
+                d0[w] = a0[w] | b0[w];
             }
-            if (last && span) {
-                d0[span - 1] &= tail_mask;
-                d1[span - 1] &= tail_mask;
+            break;
+        case OP_OR:
+            for (w = 0; w < span; w++) {
+                d0[w] = a0[w] & b0[w];
+                d1[w] = a1[w] | b1[w];
             }
+            break;
+        case OP_INV:
+            for (w = 0; w < span; w++) {
+                d0[w] = a1[w];
+                d1[w] = a0[w];
+            }
+            break;
+        case OP_XOR:
+            for (w = 0; w < span; w++) {
+                const uint64_t x0 = a0[w], x1 = a1[w];
+                const uint64_t y0 = b0[w], y1 = b1[w];
+                d0[w] = (x0 & y0) | (x1 & y1);
+                d1[w] = (x0 & y1) | (x1 & y0);
+            }
+            break;
+        default: /* OP_BUF */
+            for (w = 0; w < span; w++) {
+                d0[w] = a0[w];
+                d1[w] = a1[w];
+            }
+            break;
+        }
+        if (span) {
+            d0[span - 1] &= tail;
+            d1[span - 1] &= tail;
         }
     }
 }
 
-int64_t repro_tile_words(void) { return REPRO_TILE_WORDS; }
+/* d = OR over compare triples [slot, a_slot, b_slot] of
+ *   (got ^ expected) on both planes, expected = (sel & a) | (~sel & b),
+ * over one tile of the scratch slab.  ~sel leaves tail bits set; the
+ * caller masks the plane's last diff word. */
+static void compare_tile(const int32_t *cmp, int64_t n_out,
+                         const uint64_t *s0, const uint64_t *s1,
+                         const uint64_t *sel, uint64_t *d, int64_t span) {
+    const int64_t stride = REPRO_TILE_WORDS;
+    int64_t w;
+    for (w = 0; w < span; w++)
+        d[w] = 0;
+    for (int64_t i = 0; i < n_out; i++) {
+        const uint64_t *r0 = s0 + (int64_t)cmp[3 * i] * stride;
+        const uint64_t *r1 = s1 + (int64_t)cmp[3 * i] * stride;
+        const uint64_t *a0 = s0 + (int64_t)cmp[3 * i + 1] * stride;
+        const uint64_t *a1 = s1 + (int64_t)cmp[3 * i + 1] * stride;
+        const uint64_t *b0 = s0 + (int64_t)cmp[3 * i + 2] * stride;
+        const uint64_t *b1 = s1 + (int64_t)cmp[3 * i + 2] * stride;
+        for (w = 0; w < span; w++) {
+            const uint64_t s = sel[w];
+            const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
+            const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
+            d[w] |= (r0[w] ^ e0) | (r1[w] ^ e1);
+        }
+    }
+}
+
+static uint64_t low_ones(int64_t n) {
+    return n >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+}
+
+/* Mask for the last of `words` lane words covering `lanes` lanes. */
+static uint64_t tail_of(int64_t lanes, int64_t words) {
+    return low_ones(lanes - 64 * (words - 1));
+}
+
+void repro_run_program(const int32_t *prog, int64_t n_ops, uint64_t *p0,
+                       uint64_t *p1, int64_t words, uint64_t tail_mask) {
+    for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
+        const int64_t span =
+            words - t0 < REPRO_TILE_WORDS ? words - t0 : REPRO_TILE_WORDS;
+        sweep_ops(prog, n_ops, p0 + t0, p1 + t0, words, span,
+                  t0 + span == words ? tail_mask : ~(uint64_t)0);
+    }
+}
 
 int64_t repro_popcount(const uint64_t *a, int64_t words);
 
-/* Fused program + select-compare: run the ops and reduce the compared
- * slots into one mismatch plane, per tile, entirely inside a
- * caller-provided scratch slab (2 * n_slots * REPRO_TILE_WORDS words)
- * that stays cache-resident.  Each compared slot ``cmp[3j]`` is checked
- * against the lane-wise mux of two other slots:
+/* ------------------------------------------------------------------ */
+/* Row generators: the three bit-layout shapes the exhaustive pair
+ * product is built from.  Lanes come in blocks of `period`; block k
+ * covers lanes [k * period, (k + 1) * period) and only blocks k < count
+ * exist (later lanes are zero).  Each generator writes lane words
+ * [w0, w0 + span) of its row into dst[0 .. span).
+ *
+ *   GEN_PATTERN  block bits = bits [0, period) of `src` (h side: the
+ *                per-string mask tiled once per g row)
+ *   GEN_RUNS     block k all ones iff bit first + k of `src` is set
+ *                (g side: one string's bit smeared over its row)
+ *   GEN_PREFIX   block k = min(first + k, period) low ones (the
+ *                block-triangular select row)
+ *
+ * GEN_PATTERN reads `src` through 64-bit windows, so the bit string
+ * must be followed by one spare word.                                 */
+/* ------------------------------------------------------------------ */
+
+enum { GEN_PATTERN, GEN_RUNS, GEN_PREFIX };
+
+/* Bits [pos, pos + 64) of `src`. */
+static uint64_t bits_at(const uint64_t *src, int64_t pos) {
+    const int64_t i = pos >> 6;
+    const int sh = (int)(pos & 63);
+    return sh ? (src[i] >> sh) | (src[i + 1] << (64 - sh)) : src[i];
+}
+
+/* Lanes [pos, pos + n) of block k, shifted down to bit 0 (n <= 64). */
+static uint64_t gen_segment(int kind, const uint64_t *src, int64_t first,
+                            int64_t k, int64_t pos, int64_t n) {
+    if (kind == GEN_PATTERN)
+        return bits_at(src, pos) & low_ones(n);
+    if (kind == GEN_RUNS)
+        return (src[(first + k) >> 6] >> ((first + k) & 63)) & 1 ? low_ones(n)
+                                                                 : 0;
+    const int64_t m = first + k - pos;
+    return low_ones(m < 0 ? 0 : m > n ? n : m);
+}
+
+/* Words lying wholly inside one block: n words of block k from `pos`. */
+static void gen_words(int kind, uint64_t *dst, int64_t n, const uint64_t *src,
+                      int64_t first, int64_t k, int64_t pos) {
+    int64_t j;
+    if (kind == GEN_PATTERN) {
+        const uint64_t *s = src + (pos >> 6);
+        const int sh = (int)(pos & 63);
+        if (sh)
+            for (j = 0; j < n; j++)
+                dst[j] = (s[j] >> sh) | (s[j + 1] << (64 - sh));
+        else
+            for (j = 0; j < n; j++)
+                dst[j] = s[j];
+    } else if (kind == GEN_RUNS) {
+        const uint64_t v = (src[(first + k) >> 6] >> ((first + k) & 63)) & 1
+                               ? ~(uint64_t)0
+                               : 0;
+        for (j = 0; j < n; j++)
+            dst[j] = v;
+    } else {
+        for (j = 0; j < n; j++)
+            dst[j] = gen_segment(GEN_PREFIX, src, first, k, pos + 64 * j, 64);
+    }
+}
+
+static void gen_row(int kind, uint64_t *dst, int64_t w0, int64_t span,
+                    const uint64_t *src, int64_t first, int64_t count,
+                    int64_t period) {
+    int64_t k = w0 * 64 / period, pos = w0 * 64 % period;
+    int64_t w = 0;
+    while (w < span) {
+        uint64_t out = 0;
+        int64_t filled = 0;
+        if (k < count && pos <= period - 64) { /* whole words in block k */
+            int64_t n = (period - pos) >> 6;
+            if (n > span - w)
+                n = span - w;
+            gen_words(kind, dst + w, n, src, first, k, pos);
+            w += n;
+            pos += 64 * n;
+            if (pos == period) {
+                pos = 0;
+                k++;
+            }
+            continue;
+        }
+        while (filled < 64 && k < count) { /* a word across blocks */
+            int64_t n = period - pos;
+            if (n > 64 - filled)
+                n = 64 - filled;
+            out |= gen_segment(kind, src, first, k, pos, n) << filled;
+            filled += n;
+            pos += n;
+            if (pos == period) {
+                pos = 0;
+                k++;
+            }
+        }
+        dst[w++] = out;
+    }
+}
+
+/* Full-plane wrappers (PlaneBackend.from_pattern / expand_bits /
+ * from_prefix_runs): `words` words covering `lanes` lanes, tail-masked.
+ * `pat` carries one spare word past its ceil(period / 64). */
+static void fill_plane(int kind, uint64_t *dst, int64_t words,
+                       const uint64_t *src, int64_t first, int64_t period,
+                       int64_t lanes) {
+    gen_row(kind, dst, 0, words, src, first, (lanes + period - 1) / period,
+            period);
+    if (words)
+        dst[words - 1] &= tail_of(lanes, words);
+}
+
+void repro_fill_pattern(uint64_t *dst, int64_t words, const uint64_t *pat,
+                        int64_t period, int64_t lanes) {
+    fill_plane(GEN_PATTERN, dst, words, pat, 0, period, lanes);
+}
+
+void repro_fill_expand(uint64_t *dst, int64_t words, const uint64_t *bits,
+                       int64_t run, int64_t lanes) {
+    fill_plane(GEN_RUNS, dst, words, bits, 0, run, lanes);
+}
+
+void repro_fill_prefix(uint64_t *dst, int64_t words, int64_t first,
+                       int64_t period, int64_t lanes) {
+    fill_plane(GEN_PREFIX, dst, words, 0, first, period, lanes);
+}
+
+/* One verification shard of the valid-string pair product, rank range
+ * in, mismatch words out.  Lane (k, h) = k * period + h pairs string
+ * g_lo + k (g side) with string h (h side), for k < g_hi - g_lo and
+ * h < period; per tile, the kernel generates into the scratch slab
+ *
+ *   g_slots[b]  bit b of the g string   (GEN_RUNS over mask row b)
+ *   h_slots[b]  bit b of the h string   (GEN_PATTERN over mask row b)
+ *   sel         lanes with h <= g       (GEN_PREFIX, first = g_lo + 1)
+ *
+ * (an input slot of -1 is one the program never reads: not generated)
+ *
+ * then runs the program and checks each compared slot ``cmp[3j]``
+ * against the lane-wise mux of two other slots,
  *
  *   expected = (sel & slot cmp[3j+1]) | (~sel & slot cmp[3j+2])
  *
- * computed in-tile on both planes -- the expected planes never
- * materialize.  Only the input rows, ``sel``, and ``diff`` touch their
- * full-width buffers, so the whole verification shard streams DRAM
- * once instead of once per op.
+ * in-tile on both planes (compare_tile), so the expected planes never
+ * materialize and `diff` is the only full-width buffer.
  *
- *   prog/n_ops      flat [op,dst,a,b] int32 program
- *   in_slots/in0/in1/n_in    slot index + row pointers per preset slot
- *   zero_slots/n_zero        slots read or compared but never written
- *   cmp/n_out       flat [slot, a_slot, b_slot] int32 triples
- *   sel             `words` select mask row (tail-masked)
- *   scratch         2 * n_slots * REPRO_TILE_WORDS words
- *   diff            `words` words, fully overwritten
+ *   m0/m1       `width` mask rows of `mask_words` words each: bit i of
+ *               row b is set iff bit b of string i can resolve to 0
+ *               (resp. 1); mask_words >= ceil(period / 64) + 1
+ *   fills/n_fill    [slot, kind] pairs for slots that are neither
+ *               inputs nor written by the program: kind 0 reads as all
+ *               zero, 1 as the constant 0, 2 as the constant 1
+ *   scratch     (2 * n_slots + 1) * REPRO_TILE_WORDS words
+ *   diff        ceil((g_hi - g_lo) * period / 64) words, overwritten
  *
- * Returns the popcount of `diff` (mismatching lanes).  Input rows and
- * `sel` must already be tail-masked; `tail_mask` is applied to the
- * final diff word as a guard. */
-int64_t repro_run_program_select_diff(
-    const int32_t *prog, int64_t n_ops, const int32_t *in_slots,
-    const uint64_t **in0, const uint64_t **in1, int64_t n_in,
-    const int32_t *zero_slots, int64_t n_zero, const int32_t *cmp,
-    int64_t n_out, const uint64_t *sel, uint64_t *scratch, int64_t n_slots,
-    int64_t words, uint64_t tail_mask, uint64_t *diff) {
+ * Returns the popcount of `diff` (mismatching lanes). */
+int64_t repro_rank_range_select_diff(
+    const int32_t *prog, int64_t n_ops, const int32_t *g_slots,
+    const int32_t *h_slots, const uint64_t *m0, const uint64_t *m1,
+    int64_t width, int64_t mask_words, int64_t period, int64_t g_lo,
+    int64_t g_hi, const int32_t *fills, int64_t n_fill, const int32_t *cmp,
+    int64_t n_out, uint64_t *scratch, int64_t n_slots, uint64_t *diff) {
+    const int64_t count = g_hi - g_lo;
+    const int64_t lanes = count * period;
+    const int64_t words = (lanes + 63) >> 6;
     uint64_t *s0 = scratch;
     uint64_t *s1 = scratch + n_slots * REPRO_TILE_WORDS;
+    uint64_t *sel = scratch + 2 * n_slots * REPRO_TILE_WORDS;
     for (int64_t t0 = 0; t0 < words; t0 += REPRO_TILE_WORDS) {
         const int64_t span =
             words - t0 < REPRO_TILE_WORDS ? words - t0 : REPRO_TILE_WORDS;
         int64_t i, w;
-        for (i = 0; i < n_zero; i++) {
-            uint64_t *r0 = s0 + (int64_t)zero_slots[i] * REPRO_TILE_WORDS;
-            uint64_t *r1 = s1 + (int64_t)zero_slots[i] * REPRO_TILE_WORDS;
+        for (i = 0; i < n_fill; i++) {
+            uint64_t *r0 = s0 + (int64_t)fills[2 * i] * REPRO_TILE_WORDS;
+            uint64_t *r1 = s1 + (int64_t)fills[2 * i] * REPRO_TILE_WORDS;
+            const uint64_t v0 = fills[2 * i + 1] == 1 ? ~(uint64_t)0 : 0;
+            const uint64_t v1 = fills[2 * i + 1] == 2 ? ~(uint64_t)0 : 0;
             for (w = 0; w < span; w++) {
-                r0[w] = 0;
-                r1[w] = 0;
+                r0[w] = v0;
+                r1[w] = v1;
             }
         }
-        for (i = 0; i < n_in; i++) {
-            uint64_t *r0 = s0 + (int64_t)in_slots[i] * REPRO_TILE_WORDS;
-            uint64_t *r1 = s1 + (int64_t)in_slots[i] * REPRO_TILE_WORDS;
-            const uint64_t *v0 = in0[i] + t0;
-            const uint64_t *v1 = in1[i] + t0;
-            for (w = 0; w < span; w++) {
-                r0[w] = v0[w];
-                r1[w] = v1[w];
+        for (i = 0; i < width; i++) {
+            const uint64_t *r0 = m0 + i * mask_words;
+            const uint64_t *r1 = m1 + i * mask_words;
+            const int64_t g = (int64_t)g_slots[i] * REPRO_TILE_WORDS;
+            const int64_t h = (int64_t)h_slots[i] * REPRO_TILE_WORDS;
+            if (g >= 0) {
+                gen_row(GEN_RUNS, s0 + g, t0, span, r0, g_lo, count, period);
+                gen_row(GEN_RUNS, s1 + g, t0, span, r1, g_lo, count, period);
+            }
+            if (h >= 0) {
+                gen_row(GEN_PATTERN, s0 + h, t0, span, r0, 0, count, period);
+                gen_row(GEN_PATTERN, s1 + h, t0, span, r1, 0, count, period);
             }
         }
-        for (i = 0; i < n_ops; i++) {
-            const int32_t op = prog[4 * i];
-            uint64_t *d0 = s0 + (int64_t)prog[4 * i + 1] * REPRO_TILE_WORDS;
-            uint64_t *d1 = s1 + (int64_t)prog[4 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *a0 =
-                s0 + (int64_t)prog[4 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *a1 =
-                s1 + (int64_t)prog[4 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *b0 =
-                s0 + (int64_t)prog[4 * i + 3] * REPRO_TILE_WORDS;
-            const uint64_t *b1 =
-                s1 + (int64_t)prog[4 * i + 3] * REPRO_TILE_WORDS;
-            switch (op) {
-            case OP_AND:
-                for (w = 0; w < span; w++) {
-                    d1[w] = a1[w] & b1[w];
-                    d0[w] = a0[w] | b0[w];
-                }
-                break;
-            case OP_OR:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w] & b0[w];
-                    d1[w] = a1[w] | b1[w];
-                }
-                break;
-            case OP_INV:
-                for (w = 0; w < span; w++) {
-                    d0[w] = a1[w];
-                    d1[w] = a0[w];
-                }
-                break;
-            case OP_XOR:
-                for (w = 0; w < span; w++) {
-                    const uint64_t x0 = a0[w], x1 = a1[w];
-                    const uint64_t y0 = b0[w], y1 = b1[w];
-                    d0[w] = (x0 & y0) | (x1 & y1);
-                    d1[w] = (x0 & y1) | (x1 & y0);
-                }
-                break;
-            default: /* OP_BUF */
-                for (w = 0; w < span; w++) {
-                    d0[w] = a0[w];
-                    d1[w] = a1[w];
-                }
-                break;
-            }
-        }
-        for (w = 0; w < span; w++)
-            diff[t0 + w] = 0;
-        for (i = 0; i < n_out; i++) {
-            const uint64_t *r0 = s0 + (int64_t)cmp[3 * i] * REPRO_TILE_WORDS;
-            const uint64_t *r1 = s1 + (int64_t)cmp[3 * i] * REPRO_TILE_WORDS;
-            const uint64_t *a0 =
-                s0 + (int64_t)cmp[3 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *a1 =
-                s1 + (int64_t)cmp[3 * i + 1] * REPRO_TILE_WORDS;
-            const uint64_t *b0 =
-                s0 + (int64_t)cmp[3 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *b1 =
-                s1 + (int64_t)cmp[3 * i + 2] * REPRO_TILE_WORDS;
-            const uint64_t *sl = sel + t0;
-            uint64_t *d = diff + t0;
-            for (w = 0; w < span; w++) {
-                /* ~sl leaves tail bits set, but the b-plane rows are
-                 * tail-masked, so the mux result stays masked. */
-                const uint64_t s = sl[w];
-                const uint64_t e0 = (s & a0[w]) | (~s & b0[w]);
-                const uint64_t e1 = (s & a1[w]) | (~s & b1[w]);
-                d[w] |= (r0[w] ^ e0) | (r1[w] ^ e1);
-            }
-        }
+        gen_row(GEN_PREFIX, sel, t0, span, 0, g_lo + 1, count, period);
+        sweep_ops(prog, n_ops, s0, s1, REPRO_TILE_WORDS, span, ~(uint64_t)0);
+        compare_tile(cmp, n_out, s0, s1, sel, diff + t0, span);
     }
     if (words)
-        diff[words - 1] &= tail_mask;
+        diff[words - 1] &= tail_of(lanes, words);
     return repro_popcount(diff, words);
 }
 
@@ -306,84 +431,4 @@ void repro_not_masked(const uint64_t *a, uint64_t *out, int64_t words,
         out[w] = ~a[w];
     if (words)
         out[words - 1] &= tail_mask;
-}
-
-/* ------------------------------------------------------------------ */
-/* Structured packing: the three bit-layout shapes the exhaustive pair
- * product is built from (PlaneBackend.from_pattern / expand_bits /
- * from_prefix_runs).  All three zero `dst` (length `words`) first and
- * set only bits below `lanes`.                                        */
-/* ------------------------------------------------------------------ */
-
-static void zero_words(uint64_t *dst, int64_t words) {
-    for (int64_t w = 0; w < words; w++)
-        dst[w] = 0;
-}
-
-/* OR the low `nbits` of `src` into `dst` starting at bit `off`. */
-static void or_bits(uint64_t *dst, int64_t words, int64_t off,
-                    const uint64_t *src, int64_t nbits) {
-    const int64_t w = off >> 6;
-    const int sh = (int)(off & 63);
-    const int64_t nw = (nbits + 63) >> 6;
-    for (int64_t i = 0; i < nw; i++) {
-        uint64_t v = src[i];
-        const int64_t rem = nbits - (i << 6);
-        if (rem < 64)
-            v &= ~(uint64_t)0 >> (64 - rem);
-        dst[w + i] |= v << sh;
-        if (sh && w + i + 1 < words)
-            dst[w + i + 1] |= v >> (64 - sh);
-    }
-}
-
-/* Set the bit run [start, start + len). */
-static void set_ones(uint64_t *dst, int64_t start, int64_t len) {
-    if (len <= 0)
-        return;
-    const int64_t end = start + len;
-    const int64_t w0 = start >> 6, w1 = (end - 1) >> 6;
-    const uint64_t first = ~(uint64_t)0 << (start & 63);
-    const uint64_t last = ~(uint64_t)0 >> (63 - ((end - 1) & 63));
-    if (w0 == w1) {
-        dst[w0] |= first & last;
-        return;
-    }
-    dst[w0] |= first;
-    for (int64_t w = w0 + 1; w < w1; w++)
-        dst[w] = ~(uint64_t)0;
-    dst[w1] |= last;
-}
-
-void repro_fill_pattern(uint64_t *dst, int64_t words, const uint64_t *pat,
-                        int64_t period, int64_t lanes) {
-    zero_words(dst, words);
-    for (int64_t off = 0; off < lanes; off += period) {
-        const int64_t n = lanes - off < period ? lanes - off : period;
-        or_bits(dst, words, off, pat, n);
-    }
-}
-
-void repro_fill_expand(uint64_t *dst, int64_t words, const uint64_t *bits,
-                       int64_t run, int64_t lanes) {
-    zero_words(dst, words);
-    int64_t k = 0;
-    for (int64_t off = 0; off < lanes; off += run, k++) {
-        if ((bits[k >> 6] >> (k & 63)) & 1) {
-            const int64_t n = lanes - off < run ? lanes - off : run;
-            set_ones(dst, off, n);
-        }
-    }
-}
-
-void repro_fill_prefix(uint64_t *dst, int64_t words, int64_t first,
-                       int64_t period, int64_t lanes) {
-    zero_words(dst, words);
-    int64_t k = 0;
-    for (int64_t off = 0; off < lanes; off += period, k++) {
-        int64_t n = first + k < period ? first + k : period;
-        if (lanes - off < n)
-            n = lanes - off;
-        set_ones(dst, off, n);
-    }
 }

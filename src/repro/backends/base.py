@@ -26,6 +26,9 @@ A backend owns four concerns:
   op sweep over plane slots.  This is *the* hot loop, so each backend
   specializes it (big-int: inline int operators; numpy: ufuncs into a
   preallocated slab) instead of paying a virtual call per gate.
+  :meth:`~PlaneBackend.run_ops_rank_range` runs one whole verification
+  shard from a rank range, so a native backend can build its inputs
+  inside the sweep.
 
 Invariant: every plane is **tail-masked** -- bits at lane indices
 ``>= lanes`` are zero.  Constructors enforce it, ``bnot`` re-masks, and
@@ -36,9 +39,10 @@ the structural ops (AND/OR/XOR) preserve it, so queries like
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 from typing import Any, Iterator, List, Sequence, Tuple
 
-__all__ = ["Plane", "PlaneBackend"]
+__all__ = ["Plane", "PlaneBackend", "pair_product_planes"]
 
 #: A backend-native plane object (int, numpy array, ``array.array`` ...).
 Plane = Any
@@ -320,6 +324,91 @@ class PlaneBackend(abc.ABC):
             diff = bor(diff, bor(bxor(p0[slot], e0), bxor(p1[slot], e1)))
         return diff, self.popcount(diff)
 
+    def run_ops_rank_range(
+        self,
+        ops: Sequence[Tuple[int, int, int, int]],
+        n_slots: int,
+        in_slots: Sequence[int],
+        consts: Sequence[Tuple[int, int]],
+        cmp: Sequence[Tuple[int, int, int]],
+        masks: Tuple[Sequence[int], Sequence[int]],
+        period: int,
+        g_lo: int,
+        g_hi: int,
+    ) -> Tuple[Plane, int]:
+        """One verification shard of a pair product, rank range in.
+
+        The shard covers rows ``g`` in ``[g_lo, g_hi)`` against every
+        column ``h < period`` (lane ``(g - g_lo) * period + h``, see
+        :func:`pair_product_planes`); ``masks`` holds the per-bit masks
+        over the ``period`` strings and ``in_slots`` the ``2 * width``
+        input slots (g bits, then h bits).  ``consts`` presets
+        ``(slot, bit)`` constant slots, and the compare is
+        :meth:`run_ops_select_diff` with ``sel`` set on the lanes where
+        ``h <= g`` -- the block-triangular prefix mask.  Returns
+        ``(diff, mismatches)``.
+
+        This default builds the planes with the structured-packing
+        primitives and runs :meth:`run_ops_select_diff`: the reference
+        semantics.  A native override generates the input rows, ``sel``
+        and the constants per tile inside its sweep, so only ``diff``
+        is ever full-width.
+        """
+        planes, lanes = pair_product_planes(self, masks, period, g_lo, g_hi)
+        inputs = [(slot, p0, p1) for slot, (p0, p1) in zip(in_slots, planes)]
+        if consts:
+            zero, full = self.zeros(lanes), self.ones(lanes)
+            for slot, bit in consts:
+                inputs.append((slot, zero, full) if bit else (slot, full, zero))
+        sel = self.from_prefix_runs(g_lo + 1, period, lanes)
+        return self.run_ops_select_diff(
+            ops, n_slots, inputs, cmp, sel, self.bnot(sel, lanes), lanes
+        )
+
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PlaneBackend {self.name!r}>"
+
+
+@lru_cache(maxsize=8)
+def pair_product_planes(
+    be: PlaneBackend,
+    masks: Tuple[Sequence[int], Sequence[int]],
+    period: int,
+    g_lo: int,
+    g_hi: int,
+) -> Tuple[Tuple[Tuple[Plane, Plane], ...], int]:
+    """Input planes of rows ``[g_lo, g_hi)`` of a pair product.
+
+    ``masks = (m0, m1)``: bit ``i`` of ``m0[b]`` (resp. ``m1[b]``) is set
+    iff bit ``b`` of string ``i`` can resolve to 0 (resp. 1), over
+    ``period`` strings.  Lane ``(g - g_lo) * period + h`` pairs string
+    ``g`` with string ``h`` (h fastest).  Returns the ``2 * width``
+    ``(p0, p1)`` planes -- g bits (each string's bit smeared over its
+    row), then h bits (the mask tiled once per row) -- and the lane
+    count.
+
+    Memoized: the planes depend only on the shard, not the circuit, and
+    no sweep mutates them; a region sweep verifies every output cone
+    over the same shard, so a small LRU turns its packing into a lookup
+    (backends hash by identity, and masks are built once per width).
+    """
+    m0, m1 = masks
+    count = g_hi - g_lo
+    lanes = count * period
+    row_bits = (1 << count) - 1
+    planes = [
+        (
+            be.expand_bits((m0[b] >> g_lo) & row_bits, period, lanes),
+            be.expand_bits((m1[b] >> g_lo) & row_bits, period, lanes),
+        )
+        for b in range(len(m0))
+    ]
+    planes += [
+        (
+            be.from_pattern(m0[b], period, lanes),
+            be.from_pattern(m1[b], period, lanes),
+        )
+        for b in range(len(m0))
+    ]
+    return tuple(planes), lanes

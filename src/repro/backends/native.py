@@ -9,7 +9,11 @@ but :meth:`run_ops` lowers the compiled op list to a flat int32 program
 once, packs the slot planes into two contiguous slabs, and executes the
 entire program (all gates, both planes, tail masking) in a single
 ``repro_run_program`` call per shard, never re-entering Python between
-ops.  When the kernel is unavailable (no compiler, build failure,
+ops.  A verification shard goes further: :meth:`run_ops_rank_range`
+passes only the rank range and the cached string-mask rows, and the
+kernel generates the input rows, the select row and any constant slots
+per tile before sweeping, so the mismatch plane is the only full-width
+buffer.  When the kernel is unavailable (no compiler, build failure,
 ``REPRO_NO_NATIVE=1``) the proxy degrades to the registered ``bigint``
 backend with a one-time stderr notice, so hosts without a toolchain see
 identical behavior to ``--backend bigint``.
@@ -47,6 +51,11 @@ def _qptr(plane: array) -> int:
     return plane.buffer_info()[0]
 
 
+def _int32s(values) -> ctypes.Array:
+    values = list(values)
+    return (ctypes.c_int32 * len(values))(*values)
+
+
 class _KernelArrayBackend(ArrayBackend):
     """The built variant: ArrayBackend planes, C-kernel execution."""
 
@@ -62,6 +71,7 @@ class _KernelArrayBackend(ArrayBackend):
         self._lib = lib
         self._programs: dict = {}
         self._marshal: dict = {}
+        self._mask_rows: dict = {}
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
@@ -79,6 +89,7 @@ class _KernelArrayBackend(ArrayBackend):
         self._lib = lib
         self._programs = {}
         self._marshal = {}
+        self._mask_rows = {}
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
@@ -116,10 +127,7 @@ class _KernelArrayBackend(ArrayBackend):
         cached = self._programs.get(key)
         if cached is not None and cached[0] is ops:
             return cached[1], cached[2], cached[3]
-        flat = []
-        for quad in ops:
-            flat.extend(quad)
-        prog = (ctypes.c_int32 * len(flat))(*flat)
+        prog = _int32s(v for quad in ops for v in quad)
         # Only slots read before any write (inputs, constants, unwired
         # defaults) need copying into the slab; every dst is written
         # before it is read (topological order), and only dsts need
@@ -215,35 +223,26 @@ class _KernelArrayBackend(ArrayBackend):
         got = self._lib.repro_extract_lanes(self._ptr(a), len(a), out, n)
         return iter(out[:got])
 
-    def _select_diff_marshal(
-        self,
-        ops: Sequence[Tuple[int, int, int, int]],
-        preload: Tuple[int, ...],
-        dsts: Tuple[int, ...],
-        in_slot_ids: Tuple[int, ...],
-        cmp_t: Tuple[Tuple[int, int, int], ...],
-    ):
+    def _rank_range_marshal(self, ops, preload, dsts, in_t, consts_t, cmp_t):
         """Cached per-(program, slot layout) ctypes arrays for the C call.
 
         One verification sweep makes thousands of calls with identical
-        slot structure, so the int32 arrays (preset slots, zero slots,
+        slot structure, so the int32 arrays (g/h input slots, fills,
         compare triples) are built once and revalidated by tuple
-        compare; only the plane addresses change per shard.
+        compare; only the rank range changes per shard.
         """
         key = id(ops)
+        layout = (in_t, consts_t, cmp_t)
         cached = self._marshal.get(key)
-        if (
-            cached is not None
-            and cached[0] is ops
-            and cached[1] == in_slot_ids
-            and cached[2] == cmp_t
-        ):
-            return cached[3]
-        provided = set(in_slot_ids)
+        if cached is not None and cached[0] is ops and cached[1] == layout:
+            return cached[2]
+        provided = set(in_t)
+        provided.update(slot for slot, _ in consts_t)
         written = set(dsts)
         # Slots the C sweep reads (or compares) without anyone having
         # written them get zero rows, matching the all-zero slot fill of
-        # the generic path.
+        # the generic path; constant slots get fill kinds 1 (the
+        # constant 0: p0 ones) and 2 (the constant 1).
         zero_slots = [s for s in preload if s not in provided]
         seen = set(zero_slots)
         for triple in cmp_t:
@@ -251,82 +250,89 @@ class _KernelArrayBackend(ArrayBackend):
                 if s not in written and s not in provided and s not in seen:
                     seen.add(s)
                     zero_slots.append(s)
+        fills = [(s, 0) for s in zero_slots]
+        fills += [(slot, 1 + bit) for slot, bit in consts_t]
+        # Inputs the program never reads (most of them, in an output
+        # cone) are passed as -1: the kernel skips generating them.
+        read = set(preload).union(*cmp_t)
+        slots = [s if s in read else -1 for s in in_t]
+        width = len(in_t) // 2
         entry = (
-            (ctypes.c_int32 * len(in_slot_ids))(*in_slot_ids),
-            (ctypes.c_int32 * len(zero_slots))(*zero_slots),
-            len(zero_slots),
-            (ctypes.c_int32 * (3 * len(cmp_t)))(
-                *(s for triple in cmp_t for s in triple)
-            ),
+            _int32s(slots[:width]),
+            _int32s(slots[width:]),
+            _int32s(v for pair in fills for v in pair),
+            len(fills),
+            _int32s(s for triple in cmp_t for s in triple),
         )
         if len(self._marshal) >= _PROGRAM_CACHE_CAP:
             self._marshal.clear()
-        self._marshal[key] = (ops, in_slot_ids, cmp_t, entry)
+        self._marshal[key] = (ops, layout, entry)
         return entry
 
-    def run_ops_select_diff(
+    def _rank_range_masks(self, masks, period: int) -> Tuple[int, int, int]:
+        """Addresses of the two mask-row buffers, and words per row.
+
+        ``width`` rows of ``ceil(period / 64) + 1`` words per plane (the
+        spare word lets the kernel read any 64-bit window of a row);
+        cached on the identity of ``masks``, which callers build once
+        per width.
+        """
+        key = id(masks)
+        cached = self._mask_rows.get(key)
+        if cached is not None and cached[0] is masks:
+            return cached[2]
+        row = self.words_for(period) + 1
+        planes = [
+            self.from_bytes(
+                b"".join(m.to_bytes(8 * row, "little") for m in side),
+                64 * row * len(side),
+            )
+            for side in masks
+        ]
+        if len(self._mask_rows) >= _PROGRAM_CACHE_CAP:
+            self._mask_rows.clear()
+        addrs = (self._ptr(planes[0]), self._ptr(planes[1]), row)
+        self._mask_rows[key] = (masks, planes, addrs)
+        return addrs
+
+    def run_ops_rank_range(
         self,
         ops: Sequence[Tuple[int, int, int, int]],
         n_slots: int,
-        inputs: Sequence[Tuple[int, Any, Any]],
+        in_slots: Sequence[int],
+        consts: Sequence[Tuple[int, int]],
         cmp: Sequence[Tuple[int, int, int]],
-        sel: Any,
-        nsel: Any,
-        lanes: int,
+        masks,
+        period: int,
+        g_lo: int,
+        g_hi: int,
     ):
-        words = self.words_for(lanes)
-        if not ops or words == 0 or n_slots == 0:
-            return super().run_ops_select_diff(
-                ops, n_slots, inputs, cmp, sel, nsel, lanes
-            )
         prog, preload, dsts = self._lower(ops)
-        n_in = len(inputs)
-        in_slot_ids = tuple(s for s, _, _ in inputs)
         cmp_t = tuple(cmp)
-        in_arr, zero_arr, n_zero, cmp_arr = self._select_diff_marshal(
-            ops, preload, dsts, in_slot_ids, cmp_t
+        g_arr, h_arr, fill_arr, n_fill, cmp_arr = self._rank_range_marshal(
+            ops, preload, dsts, tuple(in_slots), tuple(consts), cmp_t
         )
-        # Plane-row pointer tables as one raw address buffer: [all p0
-        # rows][all p1 rows].  keep pins the (possibly copied) rows for
-        # the duration of the call; nsel is unused -- the kernel
-        # complements sel in-register.
-        keep: List[Any] = []
-        if self._np is not None:
-            np = self._np
-            addr = np.empty(2 * n_in, dtype=np.uintp)
-            for i, (_, a0, a1) in enumerate(inputs):
-                a0 = self._contiguous(a0)
-                a1 = self._contiguous(a1)
-                keep.append(a0)
-                keep.append(a1)
-                addr[i] = a0.ctypes.data
-                addr[n_in + i] = a1.ctypes.data
-            base = addr.ctypes.data
-            sel = self._contiguous(sel)
-            diff = np.empty(words, dtype=np.uint64)
-        else:
-            addr = array("Q", bytes(16 * n_in)) if n_in else array("Q")
-            for i, (_, a0, a1) in enumerate(inputs):
-                addr[i] = _qptr(a0)
-                addr[n_in + i] = _qptr(a1)
-            base = _qptr(addr) if n_in else 0
-            diff = array("Q", bytes(8 * words))
-        mismatches = self._lib.repro_run_program_select_diff(
+        m0, m1, row = self._rank_range_masks(masks, period)
+        diff = self._empty_plane(self.words_for((g_hi - g_lo) * period))
+        mismatches = self._lib.repro_rank_range_select_diff(
             prog,
             len(ops),
-            in_arr,
-            base,
-            base + 8 * n_in,
-            n_in,
-            zero_arr,
-            n_zero,
+            g_arr,
+            h_arr,
+            m0,
+            m1,
+            len(masks[0]),
+            row,
+            period,
+            g_lo,
+            g_hi,
+            fill_arr,
+            n_fill,
             cmp_arr,
             len(cmp_t),
-            self._ptr(sel),
-            self._scratch_addr(n_slots),
+            # One extra tile row per plane holds the generated sel row.
+            self._scratch_addr(n_slots + 1),
             n_slots,
-            words,
-            self._tail_mask(lanes),
             self._ptr(diff),
         )
         return diff, int(mismatches)
@@ -350,7 +356,8 @@ class _KernelArrayBackend(ArrayBackend):
         if not words:
             return self.zeros(lanes)
         dst = self._empty_plane(words)
-        pat = self._int_plane(value, self.words_for(period))
+        # One spare word: the kernel reads the pattern in 64-bit windows.
+        pat = self._int_plane(value, self.words_for(period) + 1)
         self._lib.repro_fill_pattern(
             self._ptr(dst), words, self._ptr(pat), period, lanes
         )
@@ -549,6 +556,22 @@ class NativeBackend(PlaneBackend):
     ) -> Tuple[Plane, int]:
         return self._resolve().run_ops_select_diff(
             ops, n_slots, inputs, cmp, sel, nsel, lanes
+        )
+
+    def run_ops_rank_range(
+        self,
+        ops: Sequence[Tuple[int, int, int, int]],
+        n_slots: int,
+        in_slots: Sequence[int],
+        consts: Sequence[Tuple[int, int]],
+        cmp: Sequence[Tuple[int, int, int]],
+        masks: Tuple[Sequence[int], Sequence[int]],
+        period: int,
+        g_lo: int,
+        g_hi: int,
+    ) -> Tuple[Plane, int]:
+        return self._resolve().run_ops_rank_range(
+            ops, n_slots, in_slots, consts, cmp, masks, period, g_lo, g_hi
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

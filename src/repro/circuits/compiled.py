@@ -495,11 +495,11 @@ class CompiledCircuit:
         (both backend-native).  Returns the backend's
         ``(diff, mismatches)`` -- the OR over pairs of
         ``(got ^ expected)`` on both planes, plus its popcount
-        (:meth:`PlaneBackend.run_ops_select_diff`).  The verification
-        sweeps use this instead of :meth:`run_planes` because every
-        expected two-sort output *is* such a mux; backends with fused
-        native execution then never materialize intermediate or
-        expected planes.  Results are bit-identical across backends.
+        (:meth:`PlaneBackend.run_ops_select_diff`).  Every expected
+        two-sort output *is* such a mux; the verification sweeps use
+        :meth:`run_rank_range_diff`, which also leaves building the
+        input planes to the backend.  Results are bit-identical across
+        backends.
         """
         if len(input_planes) != self.n_inputs:
             raise ValueError(
@@ -531,6 +531,51 @@ class CompiledCircuit:
             be.coerce(sel, n_vectors),
             be.coerce(nsel, n_vectors),
             n_vectors,
+        )
+
+    def run_rank_range_diff(
+        self,
+        masks: Tuple[Sequence[int], Sequence[int]],
+        period: int,
+        g_lo: int,
+        g_hi: int,
+        pairs: Sequence[Tuple[int, int, int]],
+    ) -> Tuple[Plane, int]:
+        """:meth:`run_select_diff` over rows ``[g_lo, g_hi)`` of a pair product.
+
+        The program must have ``2 * width`` inputs: inputs ``0..width-1``
+        take string ``g`` and the rest string ``h`` of each lane
+        ``(g - g_lo) * period + h``, where ``masks = (m0, m1)`` holds the
+        per-bit masks over the ``period`` strings.  ``pairs`` is as in
+        :meth:`run_select_diff`, with ``sel`` set on the lanes where
+        ``h <= g``.  No input plane is built here: the backend's
+        :meth:`~repro.backends.PlaneBackend.run_ops_rank_range` owns the
+        whole shard, so a native backend makes one call that returns
+        only the mismatch plane.
+        """
+        if self.n_inputs != 2 * len(masks[0]):
+            raise ValueError(
+                f"{self.name}: {self.n_inputs} inputs cannot take pairs of "
+                f"{len(masks[0])}-bit strings"
+            )
+        consts = [
+            (slot, 1 if value is Trit.ONE else 0)
+            for slot, value in self.const_slots
+        ]
+        cmp = [
+            (self.output_slots[out], self.input_slots[a], self.input_slots[b])
+            for out, a, b in pairs
+        ]
+        return self.backend.run_ops_rank_range(
+            self.ops,
+            self.n_slots,
+            self.input_slots,
+            consts,
+            cmp,
+            masks,
+            period,
+            g_lo,
+            g_hi,
         )
 
     # ------------------------------------------------------------------

@@ -9,11 +9,19 @@ Since the bit-parallel engine landed, both circuit-level sweeps run the
 whole pair domain as a handful of two-plane batches
 (:mod:`repro.circuits.compiled`):
 
-* the *pair product* ``S x S`` is materialised directly in plane space
-  -- the h-side planes are one per-string bit pattern replicated ``S``
-  times by a single big-int multiply, the g-side planes spread each
-  string's bit across an ``S``-wide lane block -- so no per-pair Python
-  loop ever runs on the happy path;
+* the valid strings are never enumerated on the happy path: ``S^B_rg``
+  is closed-form (rank ``2x`` is ``rg(x)``, rank ``2x+1`` is ``rg(x)``
+  with ``M`` on the bit where it differs from ``rg(x+1)``), so the
+  per-bit masks over all strings come from rank arithmetic
+  (:func:`_string_bit_masks`);
+* a shard is a *rank range* of g rows against every h column, handed to
+  the backend as masks plus ``(g_lo, g_hi)``
+  (:meth:`~repro.circuits.compiled.CompiledCircuit.run_rank_range_diff`):
+  the g-side planes smear each string's bit over its S-wide lane row,
+  the h-side planes tile the mask once per row.  The bigint reference
+  builds those planes with the structured-packing primitives; the
+  native kernel generates them per tile inside its sweep, so no input
+  plane ever exists in Python;
 * the expected ``(max, min)`` planes come from the total order of
   Table 2 (strings are enumerated in ascending rank, so "max = g iff
   h-index <= g-index" is one block-triangular select mask).  On valid
@@ -21,7 +29,8 @@ whole pair domain as a handful of two-plane batches
   (Lemma 2.9; checked exhaustively in ``tests/test_graycode_ops.py``),
   so comparing planes against it verifies Definition 2.8 exactly;
 * only mismatching lanes -- none, for a correct circuit -- are decoded
-  back to words for the failure report.
+  back to words for the failure report, and only as many as the report
+  keeps.
 
 Throughput on the full B = 8 domain improves by three orders of
 magnitude over the scalar interpreter (``benchmarks/bench_engines.py``
@@ -38,11 +47,11 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..backends import PlaneBackend, get_backend
+from ..backends.base import pair_product_planes
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
 from ..graycode.ops import two_sort_closure
 from ..graycode.valid import all_valid_strings, is_valid
-from ..ternary.trit import Trit
 from ..ternary.word import Word
 
 #: Default lanes per batch.  2^14 lanes keep each plane integer ~2 KB,
@@ -116,13 +125,18 @@ class SweepEpoch:
         )
 
 
+#: How many counterexample messages a report keeps (see
+#: :class:`VerificationResult`); shards decode only this many lanes.
+_FAILURE_LIMIT = 20
+
+
 @dataclass
 class VerificationResult:
     """Outcome of one exhaustive sweep (or one shard of it).
 
-    ``failures`` holds at most the first ``limit`` counterexample
-    messages; ``truncated`` is set whenever at least one message was
-    dropped, so no consumer can mistake the capped list for the full
+    ``failures`` holds at most the first ``limit`` (default
+    :data:`_FAILURE_LIMIT`) counterexample messages; ``truncated`` is
+    set whenever at least one message was dropped, so no consumer can mistake the capped list for the full
     report (``failure_count`` always has the true total).  ``elapsed``
     is optional wall-clock seconds, set by timing-aware callers (the
     CLI ``--json`` path); it is *not* merged across shards, since
@@ -139,7 +153,7 @@ class VerificationResult:
     def ok(self) -> bool:
         return self.failure_count == 0
 
-    def record(self, message: str, limit: int = 20) -> None:
+    def record(self, message: str, limit: int = _FAILURE_LIMIT) -> None:
         self.failure_count += 1
         if len(self.failures) < limit:
             self.failures.append(message)
@@ -172,7 +186,9 @@ class VerificationResult:
 
     @classmethod
     def merge(
-        cls, results: Iterable["VerificationResult"], limit: int = 20
+        cls,
+        results: Iterable["VerificationResult"],
+        limit: int = _FAILURE_LIMIT,
     ) -> "VerificationResult":
         """Combine per-shard results deterministically.
 
@@ -210,87 +226,64 @@ def _string_bit_masks(width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
     ``m0[b]`` (resp. ``m1[b]``) has bit ``i`` set iff bit ``b`` of
     ``all_valid_strings(width)[i]`` can resolve to 0 (resp. 1).
+
+    Closed form, from rank arithmetic alone: rank ``2x`` is
+    ``gray(x) = x ^ (x >> 1)``, and rank ``2x + 1`` is ``gray(x)`` with
+    ``M`` on the set bit of ``gray(x) ^ gray(x + 1)``.  Gray bit ``p``
+    (string position ``b = width - 1 - p``) is 1 for ``x`` in
+    ``[2^p, 3 * 2^p)`` modulo ``2^(p+2)`` and flips exactly at the ends
+    of that run, so with ``half = 2^(p+1)`` ranks, every period of
+    ``4 * half`` ranks reads: can-be-1 on ``[half - 1, 3 * half)`` (the
+    run plus its two M strings), can-be-0 everywhere but
+    ``[half, 3 * half - 1)``.  Each mask is that period tiled by one
+    multiply and cut to ``S = 2^(width+1) - 1`` ranks -- no ``Word`` or
+    ``Trit`` is built (``tests/test_rank_range.py`` checks the result
+    against the enumerated strings).
     """
-    strings = all_valid_strings(width)
-    m0 = [0] * width
-    m1 = [0] * width
-    for i, w in enumerate(strings):
-        for b, t in enumerate(w):
-            if t is not Trit.ONE:
-                m0[b] |= 1 << i
-            if t is not Trit.ZERO:
-                m1[b] |= 1 << i
+    S = (1 << (width + 1)) - 1  # |S^B_rg|
+    full = (1 << S) - 1
+    m0 = []
+    m1 = []
+    for b in range(width):
+        half = 1 << (width - b)  # 2^(p+1) for gray bit p = width - 1 - b
+        period = 4 * half
+        reps = -(-S // period)
+        tile = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
+        can1 = ((1 << (2 * half + 1)) - 1) << (half - 1)
+        can0 = ((1 << period) - 1) ^ (((1 << (2 * half - 1)) - 1) << half)
+        m0.append(can0 * tile & full)
+        m1.append(can1 * tile & full)
     return tuple(m0), tuple(m1)
 
 
-@lru_cache(maxsize=8)
 def _shard_input_planes(be: PlaneBackend, width: int, g_lo: int, g_hi: int):
     """Backend-native input planes for one g-row shard.
 
     Covers ``gi`` in ``[g_lo, g_hi)`` against *all* ``hi``; lane index
     is ``(gi - g_lo) * S + hi`` (h fastest).  Returns the 2*width input
-    planes (g bits then h bits) and the lane count, built through the
-    backend's structured-packing primitives
-    (:meth:`PlaneBackend.from_pattern` and friends) so word-array
-    backends construct lane words directly instead of routing
-    ``lanes``-bit ints through ``from_int``.  The base-class defaults
-    reproduce the original big-int construction exactly, so every
-    backend yields bit-identical planes.
+    planes (g bits then h bits) and the lane count, built from the
+    closed-form masks by :func:`~repro.backends.base.pair_product_planes`
+    -- the same planes :meth:`PlaneBackend.run_ops_rank_range` sweeps.
 
-    Memoized: the planes depend only on the shard, not the circuit, and
-    every sweep treats input planes as immutable (``run_ops`` never
-    writes a preset slot's plane).  Region sweeps verify many cones over
-    the *same* shard and re-verification revisits shards wholesale, so
-    a small LRU turns the pack stage into a lookup; backends hash by
-    identity and registry entries are process-long, so the keys are
-    stable.
-    """
-    m0, m1 = _string_bit_masks(width)
-    S = (1 << (width + 1)) - 1  # |S^B_rg|
-    K = g_hi - g_lo
-    lanes = K * S
-    g_mask = (1 << K) - 1
-    planes = []
-    for b in range(width):  # g-side: spread bit gi into an S-wide block
-        planes.append(
-            (
-                be.expand_bits((m0[b] >> g_lo) & g_mask, S, lanes),
-                be.expand_bits((m1[b] >> g_lo) & g_mask, S, lanes),
-            )
-        )
-    for b in range(width):  # h-side: per-string pattern, replicated
-        planes.append(
-            (be.from_pattern(m0[b], S, lanes), be.from_pattern(m1[b], S, lanes))
-        )
-    return tuple(planes), lanes
-
-
-def _shard_select_mask(be: PlaneBackend, width: int, g_lo: int, lanes: int):
-    """``(sel, nsel)`` for one g-row shard.
-
-    ``sel`` is set on lanes where ``rank(g) >= rank(h)`` (strings are
-    enumerated in ascending rank, so within the block of ``gi`` these
-    are the lanes ``hi <= gi`` -- a block-triangular prefix mask).  The
-    expected Table 2 order max takes each bit from ``g`` on those lanes
-    and from ``h`` elsewhere; the min is the complementary selection.
-    Both the mux and the compare run fused inside
-    :meth:`CompiledCircuit.run_select_diff`.
+    Only the paths that need every slot plane use it: the failure
+    decode of :func:`verify_two_sort_shard` and
+    :func:`verify_containment`.
     """
     S = (1 << (width + 1)) - 1
-    sel = be.from_prefix_runs(g_lo + 1, S, lanes)
-    return sel, be.bnot(sel, lanes)
+    return pair_product_planes(be, _string_bit_masks(width), S, g_lo, g_hi)
 
 
-def _two_sort_select_pairs(width: int):
+@lru_cache(maxsize=None)
+def _two_sort_select_pairs(width: int) -> Tuple[Tuple[int, int, int], ...]:
     """``(out, a, b)`` mux triples for every 2-sort output.
 
     Output ``b < width`` (bit ``b`` of the order max) expects g-input
     ``b`` where ``sel``, h-input ``width + b`` elsewhere; output
     ``width + b`` (order min) is the complementary selection.
     """
-    return [(b, b, width + b) for b in range(width)] + [
+    return tuple((b, b, width + b) for b in range(width)) + tuple(
         (width + b, width + b, b) for b in range(width)
-    ]
+    )
 
 
 def check_two_sort_shape(circuit: Circuit, width: int) -> None:
@@ -335,35 +328,40 @@ def verify_two_sort_shard(
     program's plane backend, so results are bit-identical for any
     backend choice.  Pure function of its arguments, so shards can run
     in any process and their results merge deterministically
-    (:meth:`VerificationResult.merge`).
+    (:meth:`VerificationResult.merge`).  The report keeps the messages
+    of the first :data:`_FAILURE_LIMIT` mismatching lanes, as
+    :meth:`VerificationResult.record` would; ``failure_count`` is the
+    kernel's popcount of the mismatch plane.
     """
-    strings = all_valid_strings(width)
-    S = len(strings)
-    result = VerificationResult()
-
-    be: PlaneBackend = program.backend
-    # The pair product is packed into backend planes exactly once per
-    # shard; run_select_diff accepts the native planes as-is and fuses
-    # the sweep with the expected-output mux and comparison.
-    native, lanes = _shard_input_planes(be, width, g_lo, g_hi)
-    sel, nsel = _shard_select_mask(be, width, g_lo, lanes)
-    diff, mismatches = program.run_select_diff(
-        native, lanes, sel, nsel, _two_sort_select_pairs(width)
+    S = (1 << (width + 1)) - 1  # |S^B_rg|
+    diff, mismatches = program.run_rank_range_diff(
+        _string_bit_masks(width), S, g_lo, g_hi, _two_sort_select_pairs(width)
     )
-
-    result.checked += lanes
+    lanes = (g_hi - g_lo) * S
+    result = VerificationResult(
+        checked=lanes,
+        failure_count=mismatches,
+        truncated=mismatches > _FAILURE_LIMIT,
+    )
     if mismatches:
-        # Failures are rare: only then re-run the program for the full
-        # slot planes the per-lane decode needs.
-        p0, p1 = program.run_planes(native, lanes)
-        for lane in be.iter_set_lanes(diff, lanes):
+        # Failures are rare: only then enumerate the strings and re-run
+        # the program for the full slot planes the per-lane decode
+        # needs -- for the first _FAILURE_LIMIT lanes, all the report
+        # keeps.
+        be: PlaneBackend = program.backend
+        strings = all_valid_strings(width)
+        p0, p1 = program.run_planes(
+            _shard_input_planes(be, width, g_lo, g_hi)[0], lanes
+        )
+        for lane in itertools.islice(
+            be.iter_set_lanes(diff, lanes), _FAILURE_LIMIT
+        ):
             g = strings[g_lo + lane // S]
             h = strings[lane % S]
             out = program.decode_lane(p0, p1, lane)
-            got = (out[:width], out[width:])
             want = two_sort_closure(g, h)
-            result.record(
-                f"({g}, {h}): got {got[0]}/{got[1]}, "
+            result.failures.append(
+                f"({g}, {h}): got {out[:width]}/{out[width:]}, "
                 f"want {want[0]}/{want[1]}"
             )
     return result
@@ -386,20 +384,17 @@ def verify_two_sort_region_shard(
     the canonical full-circuit shard to produce the usual
     :class:`VerificationResult` failure messages byte-for-byte.
     """
-    be: PlaneBackend = program.backend
-    native, lanes = _shard_input_planes(be, width, g_lo, g_hi)
-    sel, nsel = _shard_select_mask(be, width, g_lo, lanes)
-
     if output_index < width:  # a max bit: g where sel, else h
         b = output_index
         pair = (0, b, width + b)
     else:  # a min bit: the complementary selection
         b = output_index - width
         pair = (0, width + b, b)
-    _diff, mismatches = program.run_select_diff(
-        native, lanes, sel, nsel, [pair]
+    S = (1 << (width + 1)) - 1
+    _diff, mismatches = program.run_rank_range_diff(
+        _string_bit_masks(width), S, g_lo, g_hi, (pair,)
     )
-    return {"lanes": lanes, "mismatches": mismatches}
+    return {"lanes": (g_hi - g_lo) * S, "mismatches": mismatches}
 
 
 def verify_two_sort_circuit(

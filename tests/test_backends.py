@@ -396,7 +396,7 @@ def _random_select_diff_case(rng, n_inputs=4, n_ops=15, n_cmp=3):
         for _ in range(n_cmp)
     ]
     # One cmp slot that no op ever writes and no input provides: it must
-    # read as all-zero planes (the native marshal zero-fills it).
+    # read as all-zero planes.
     cmp.append((written, 0, 1))
     return ops, written + 1, cmp
 
@@ -404,8 +404,7 @@ def _random_select_diff_case(rng, n_inputs=4, n_ops=15, n_cmp=3):
 class TestSelectDiffContract:
     """run_ops_select_diff: every backend must match the bigint
     reference semantics bit-for-bit, including the tail-mask edges
-    (the native kernel complements sel in-register, so ~sel's tail
-    bits must never leak into the diff)."""
+    (~sel's tail bits must never leak into the diff)."""
 
     @pytest.mark.parametrize("lanes", EDGE_LANES)
     def test_matches_bigint_reference(self, lanes, backend):
