@@ -39,7 +39,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 import time
 
@@ -272,6 +275,46 @@ def bench_plane_backends(
         }
 
     return section
+
+
+def bench_end_to_end(runs: int = 5) -> dict:
+    """What a user waits for: a fresh ``python -m repro verify`` process.
+
+    The median wall clock of ``runs`` subprocess runs of
+    ``python -m repro verify --width 8``, next to the median of as many
+    ``python -c pass`` runs (interleaved, so host drift hits both
+    alike).  ``b8_cli_vs_python_startup`` divides the two -- a
+    host-speed-invariant measure of everything the CLI adds on top of
+    interpreter startup (imports, kernel load, enumeration, the
+    sweep).  One untimed CLI run first warms the kernel cache.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    cli = [sys.executable, "-m", "repro", "verify", "--width", "8"]
+    bare = [sys.executable, "-c", "pass"]
+
+    def wall(cmd) -> float:
+        t0 = time.perf_counter()
+        subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+        return time.perf_counter() - t0
+
+    wall(cli)
+    cli_times, bare_times = [], []
+    for _ in range(runs):
+        cli_times.append(wall(cli))
+        bare_times.append(wall(bare))
+    cli_s = statistics.median(cli_times)
+    bare_s = statistics.median(bare_times)
+    return {
+        "width": 8,
+        "runs": runs,
+        "cli_verify_s": round(cli_s, 4),
+        "python_startup_s": round(bare_s, 4),
+        "b8_cli_vs_python_startup": round(cli_s / bare_s, 2),
+    }
 
 
 def bench_native_backend(
@@ -885,6 +928,15 @@ def main(argv=None) -> int:
         f"({store['journal_cold']['vs_sqlite_cold_x']}x sqlite cold)"
     )
 
+    print("== end to end: fresh CLI process (B=8) ==")
+    end_to_end = bench_end_to_end()
+    print(
+        f"  verify --width 8: {end_to_end['cli_verify_s']:.4f}s   "
+        f"python -c pass: {end_to_end['python_startup_s']:.4f}s   "
+        f"({end_to_end['b8_cli_vs_python_startup']:.2f}x startup, "
+        f"median of {end_to_end['runs']})"
+    )
+
     payload = {
         "benchmark": "scalar interpreter vs compiled two-plane engine",
         "quick": args.quick,
@@ -898,6 +950,7 @@ def main(argv=None) -> int:
         "distributed_verification": distributed,
         "fault_tolerance": fault,
         "verification_store": store,
+        "end_to_end": end_to_end,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

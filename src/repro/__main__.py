@@ -7,7 +7,7 @@ table8              regenerate Table 8 (sorting-network costs)
 verify --width B    exhaustively verify 2-sort(B) against the closure spec
        --jobs N     shard the sweep across N worker processes (0 = cores)
        --shard-size approximate pair-lanes per shard
-       --executor   execution strategy: serial/process/array/distributed
+       --executor   execution strategy: serial/process/distributed
        --listen A   (with --executor distributed) coordinator address,
                     PORT or HOST:PORT (bare port binds all interfaces)
        --backend    plane backend: auto (default -- native when its C
@@ -58,14 +58,15 @@ store log           print the audit trail of a result store
       --json        one JSON object per line
 
 ``verify`` and ``sort`` are thin clients of the same typed request
-dataclasses (:mod:`repro.service.jobs`) the service executes, so a
-served job and a direct CLI run are the same code path.
+dataclasses (:mod:`repro.requests`) the service executes, so a served
+job and a direct CLI run are the same code path.  The service, its
+client, the store backends and the process pool are imported by the
+handlers that use them, so a plain ``verify`` loads only the sweep.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
@@ -77,17 +78,13 @@ from .circuits.export import to_verilog
 from .core.two_sort import build_two_sort
 from .graycode.valid import InvalidStringError
 from .networks.simulate import ENGINES
-from .service import (
+from .requests import (
     DEFAULT_HOST,
     DEFAULT_PORT,
-    JobManager,
-    ReproServer,
-    ServiceClient,
-    ServiceError,
+    MAX_VERIFY_WIDTH,
     SortRequest,
     VerifyRequest,
 )
-from .service.jobs import MAX_VERIFY_WIDTH
 from .verify.exhaustive import VerificationResult
 from .verify.parallel import available_executors
 
@@ -496,6 +493,10 @@ def _cmd_serve(args) -> int:
     bad = _check_positive_args(args) or _check_backend_args(args)
     if bad:
         return bad
+    import asyncio
+
+    from .service import JobManager, ReproServer
+
     if args.listen is not None:
         from .distributed import ensure_coordinator
 
@@ -559,7 +560,9 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _client(args) -> ServiceClient:
+def _client(args):
+    from .service.client import ServiceClient
+
     return ServiceClient(host=args.host, port=args.port)
 
 
@@ -579,6 +582,8 @@ def _progress_line(kind: str, event) -> str:
 
 
 def _cmd_submit(args) -> int:
+    from .service.client import ServiceError
+
     bad = (
         _check_executor_args(args)
         or _check_backend_args(args)
@@ -745,6 +750,8 @@ def _cmd_store_log(args) -> int:
 
 
 def _cmd_status(args) -> int:
+    from .service.client import ServiceError
+
     try:
         with _client(args) as client:
             status = client.status(args.job_id)
@@ -760,6 +767,8 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_cancel(args) -> int:
+    from .service.client import ServiceError
+
     try:
         with _client(args) as client:
             cancelled = client.cancel(args.job_id)
@@ -805,7 +814,7 @@ def _add_verify_args(parser) -> None:
     parser.add_argument(
         "--executor",
         default=None,
-        help="execution strategy (serial, process, array, distributed; "
+        help="execution strategy (serial, process, distributed; "
         "default: process when --jobs > 1, else serial)",
     )
     parser.add_argument(
@@ -857,7 +866,7 @@ def _add_sort_args(parser) -> None:
         "--executor",
         default=None,
         help="execution strategy for the sharded batch path "
-        "(serial, process, array, distributed)",
+        "(serial, process, distributed)",
     )
     parser.add_argument(
         "--backend",

@@ -9,15 +9,16 @@ name registry, mirroring the engine registry in
 :mod:`repro.verify.parallel`:
 
 * ``"bigint"`` -- arbitrary-precision Python ints (the original
-  representation, extracted verbatim; the default),
+  representation and the reference; the default),
 * ``"array"``  -- uint64 lane-word arrays: numpy ufuncs when numpy is
   importable, a stdlib ``array``-of-words fallback otherwise (force the
-  fallback with ``REPRO_NO_NUMPY=1``),
-* ``"native"`` -- the same lane-word layout executed by a C kernel built
-  on first use (one call per shard for the whole compiled program); on
-  hosts without a compiler, or under ``REPRO_NO_NATIVE=1``, it degrades
-  to bigint planes with a one-time notice
-  (:mod:`repro.backends.native`).
+  fallback with ``REPRO_NO_NUMPY=1``); the variant, and with it the
+  numpy import, is picked on the backend's first use, never at import,
+* ``"native"`` -- uint64 lane-word planes in stdlib ``array("Q")``
+  buffers, executed by a C kernel built on first use (one call per
+  shard for the whole compiled program); on hosts without a compiler,
+  or under ``REPRO_NO_NATIVE=1``, it degrades to bigint planes with a
+  one-time notice (:mod:`repro.backends.native`).
 
 ``"auto"`` is an *alias*, not a registered backend: it resolves to
 ``native`` when the kernel is built on this host and ``bigint``
@@ -31,8 +32,8 @@ Selection is by name everywhere a backend crosses an API boundary
 initializers), so backend choices serialize trivially to worker
 processes and compile caches can key on ``(circuit.version, name)``.
 The process-wide default is ``"bigint"`` unless ``REPRO_PLANE_BACKEND``
-says otherwise; :func:`use_backend` scopes an override (used by the
-``"array"`` executor in :mod:`repro.verify.parallel`).
+says otherwise; :func:`use_backend` scopes an override (used by
+distributed workers, :mod:`repro.distributed.worker`).
 """
 
 from __future__ import annotations

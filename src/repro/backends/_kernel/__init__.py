@@ -4,9 +4,11 @@ The kernel is a single C file (``kernel.c``) compiled to a shared library
 with whatever C compiler the host has, then loaded through :mod:`ctypes`
 (no third-party build dependency).  Builds are cached per host under
 ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``) in a file
-keyed on the SHA-256 of the kernel source, the compiler identity, and the
-flags, so upgrading the source or switching compilers rebuilds while
-repeat imports just ``dlopen`` the cached artifact.
+keyed on the SHA-256 of the kernel source, the compiler identity (the
+resolved compiler file's path, size and mtime), and the flags, so
+upgrading the source or switching compilers rebuilds while repeat
+imports just ``dlopen`` the cached artifact -- without starting any
+subprocess.
 
 Everything degrades gracefully: no compiler, a failed build, a bad cached
 artifact, or ``REPRO_NO_NATIVE=1`` all make :func:`load_kernel` return
@@ -54,18 +56,19 @@ def _find_compiler() -> str | None:
 
 
 def _compiler_id(cc: str) -> str:
+    """Identity of the compiler file ``cc`` resolves to.
+
+    Its real path, size and mtime: a stat instead of ``cc --version``,
+    so a warm start forks nothing, while switching or upgrading the
+    compiler (or pointing ``$CC`` at a wrapper script, a different
+    file) still changes the key and rebuilds.
+    """
+    path = os.path.realpath(shutil.which(cc) or cc)
     try:
-        out = subprocess.run(
-            [cc, "--version"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=False,
-        ).stdout
-        first = out.splitlines()[0] if out else ""
-    except (OSError, subprocess.SubprocessError):
-        first = ""
-    return f"{cc} {first}".strip()
+        st = os.stat(path)
+    except OSError:
+        return path
+    return f"{path} {st.st_size} {st.st_mtime_ns}"
 
 
 def _cache_dir() -> str:
@@ -111,10 +114,10 @@ def _build(cc: str, source: str, out_path: str) -> None:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # All pointer parameters are declared c_void_p so callers can pass raw
-    # integer addresses (numpy's arr.ctypes.data, array's buffer_info()[0])
-    # without building ctypes pointer objects -- that per-call marshalling
-    # is measurable on the hot verification path.  c_void_p also accepts
-    # ctypes arrays directly, so cached int32 slot/program arrays pass as-is.
+    # integer addresses (an array's buffer_info()[0]) without building
+    # ctypes pointer objects -- that per-call marshalling is measurable on
+    # the hot verification path.  c_void_p also accepts ctypes arrays
+    # directly, so cached int32 slot/program arrays pass as-is.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     u64 = ctypes.c_uint64

@@ -16,11 +16,14 @@ word loop over :class:`array.array` otherwise.
   ops are ``map``-based word loops.  Slow, but dependency-free and
   bit-identical; it is what CI runs with numpy uninstalled.
 
-Variant selection is automatic at construction: numpy is used when
+Variant selection is automatic at first use: numpy is used when
 importable unless the ``REPRO_NO_NUMPY`` environment variable is set to
 a non-empty value other than ``0`` (the tested escape hatch for forcing
-the fallback).  Pass ``use_numpy=True/False`` to pin a variant
-explicitly (``True`` raises if numpy is missing).
+the fallback).  Deferring the choice keeps the registered instance
+free to build: importing :mod:`repro.backends` never imports numpy, so
+processes that run ``bigint`` or ``native`` planes never pay for it.
+Pass ``use_numpy=True/False`` to pin a variant explicitly at
+construction (``True`` raises if numpy is missing).
 
 Known small-B regression (documented, gated)
 --------------------------------------------
@@ -45,6 +48,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from functools import cached_property
 from operator import and_, or_, xor
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -82,7 +86,7 @@ class ArrayBackend(PlaneBackend):
 
     def __init__(self, use_numpy: Optional[bool] = None):
         if use_numpy is None:
-            use_numpy = not numpy_disabled_by_env() and _import_numpy() is not None
+            return  # variant picked on first use, see _np
         if use_numpy:
             np = _import_numpy()
             if np is None:
@@ -93,6 +97,18 @@ class ArrayBackend(PlaneBackend):
             self._np = np
         else:
             self._np = None
+
+    @cached_property
+    def _np(self) -> Optional[Any]:
+        """numpy for the numpy variant, ``None`` for the fallback.
+
+        Only consulted when the variant was not pinned at construction;
+        the first access caches the choice on the instance, so hot loops
+        read a plain attribute.
+        """
+        if numpy_disabled_by_env():
+            return None
+        return _import_numpy()
 
     @property
     def uses_numpy(self) -> bool:

@@ -6,8 +6,9 @@ Until this package existed the plane representation was hardcoded as
 arbitrary-precision Python ints; a :class:`PlaneBackend` abstracts that
 choice so the same compiled programs, verification sweeps, and batch
 simulations can run on fixed-width word arrays (numpy, stdlib
-``array``) -- the bit-slicing-over-words layout that trades big-int
-carry chains for vectorized word ops.
+``array("Q")`` buffers, optionally driven by a C kernel) -- the
+bit-slicing-over-words layout that trades big-int carry chains for
+word ops.
 
 A backend owns four concerns:
 
@@ -25,7 +26,8 @@ A backend owns four concerns:
 * **program execution** -- :meth:`~PlaneBackend.run_ops`, the compiled
   op sweep over plane slots.  This is *the* hot loop, so each backend
   specializes it (big-int: inline int operators; numpy: ufuncs into a
-  preallocated slab) instead of paying a virtual call per gate.
+  preallocated slab; native: one C call for the whole program) instead
+  of paying a virtual call per gate.
   :meth:`~PlaneBackend.run_ops_rank_range` runs one whole verification
   shard from a rank range, so a native backend can build its inputs
   inside the sweep.

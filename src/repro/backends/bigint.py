@@ -10,8 +10,10 @@ Strengths: zero packing cost from the int-space plane constructions
 (pair products are built with shifts and one big multiply), no per-op
 call overhead in :meth:`BigIntBackend.run_ops` (inline operators, the
 pre-refactor loop).  Weakness: every op walks the carry-normalized limb
-array sequentially; fixed-width word backends (``"array"``) can
-vectorize instead.
+array sequentially, and each op is one Python-level dispatch; the
+``"native"`` backend runs fixed-width lane words through a C kernel
+instead.  Bigint stays the reference semantics and the backend of
+every host without a C compiler.
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@
 ``NativeBackend`` is a self-resolving proxy registered as ``"native"``.
 On first use it tries to build/load the C kernel in
 :mod:`repro.backends._kernel`; when that works it becomes a
-:class:`_KernelArrayBackend` -- same uint64 lane-word layout and
-canonical bytes as :class:`~repro.backends.array_backend.ArrayBackend`,
-but :meth:`run_ops` lowers the compiled op list to a flat int32 program
-once, packs the slot planes into two contiguous slabs, and executes the
-entire program (all gates, both planes, tail masking) in a single
-``repro_run_program`` call per shard, never re-entering Python between
-ops.  A verification shard goes further: :meth:`run_ops_rank_range`
-passes only the rank range and the cached string-mask rows, and the
-kernel generates the input rows, the select row and any constant slots
-per tile before sweeping, so the mismatch plane is the only full-width
+:class:`_KernelBackend`, whose planes are stdlib ``array("Q")`` buffers
+of uint64 lane words (the same canonical bytes as bigint planes) and
+whose every op runs in the kernel -- no third-party package is
+involved.  :meth:`~_KernelBackend.run_ops` lowers the compiled op list
+to a flat int32 program once, packs the slot planes into two
+contiguous slabs, and executes the entire program (all gates, both
+planes, tail masking) in a single ``repro_run_program`` call per
+shard, never re-entering Python between ops.  A verification shard
+goes further: :meth:`~_KernelBackend.run_ops_rank_range` passes only
+the rank range and the cached string-mask rows, and the kernel
+generates the input rows, the select row and any constant slots per
+tile before sweeping, so the mismatch plane is the only full-width
 buffer.  When the kernel is unavailable (no compiler, build failure,
 ``REPRO_NO_NATIVE=1``) the proxy degrades to the registered ``bigint``
 backend with a one-time stderr notice, so hosts without a toolchain see
@@ -28,17 +30,18 @@ keys stay consistent because they key on the name, not the variant.
 from __future__ import annotations
 
 import ctypes
+import sys
 import threading
 from array import array
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernel
-from .array_backend import ArrayBackend
 from .base import Plane, PlaneBackend
 
 __all__ = ["NativeBackend"]
 
-_FULL_WORD = (1 << 64) - 1
+_WORD_BITS = 64
+_FULL_WORD = (1 << _WORD_BITS) - 1
 #: Lowered programs cached per op-list identity; cleared wholesale past
 #: this many entries (each sweep reuses one program thousands of times,
 #: so eviction policy is irrelevant -- this is just a leak bound).
@@ -51,23 +54,35 @@ def _qptr(plane: array) -> int:
     return plane.buffer_info()[0]
 
 
+def _zero_words(words: int) -> array:
+    return array("Q", [0]) * words
+
+
 def _int32s(values) -> ctypes.Array:
     values = list(values)
     return (ctypes.c_int32 * len(values))(*values)
 
 
-class _KernelArrayBackend(ArrayBackend):
-    """The built variant: ArrayBackend planes, C-kernel execution."""
+class _KernelBackend(PlaneBackend):
+    """The built variant: ``array("Q")`` lane-word planes, C-kernel ops.
+
+    A plane is a sequence of unsigned 64-bit **lane words**; lane ``j``
+    lives at bit ``j & 63`` of word ``j >> 6`` (little-endian lane
+    order, so the canonical byte form matches the big-int backend
+    exactly).  Planes are stdlib ``array("Q")`` buffers whose addresses
+    cross the FFI as plain ints, so the backend needs no third-party
+    package.
+    """
 
     name = "native"
-    #: Much larger than the array budget: the fused one-call sweep tiles
-    #: the word axis internally (cache-resident scratch), so the only
-    #: per-shard costs left are Python crossings -- fewer, wider shards
-    #: win.  1<<18 runs the whole B=8 pair domain as one shard.
+    word_bits = _WORD_BITS
+    #: The fused one-call sweep tiles the word axis internally
+    #: (cache-resident scratch), so the only per-shard costs left are
+    #: Python crossings -- fewer, wider shards win.  1<<18 runs the
+    #: whole B=8 pair domain as one shard.
     preferred_shard_lanes = 1 << 18
 
-    def __init__(self, lib, use_numpy: Optional[bool] = None):
-        super().__init__(use_numpy=use_numpy)
+    def __init__(self, lib):
         self._lib = lib
         self._programs: dict = {}
         self._marshal: dict = {}
@@ -75,23 +90,129 @@ class _KernelArrayBackend(ArrayBackend):
         self._tile = int(lib.repro_tile_words())
         self._local = threading.local()
 
+    # ctypes handles and caches stay behind: the receiving process
+    # loads its own kernel.  (A non-empty state, so __setstate__ runs.)
     def __getstate__(self):
-        return {"use_numpy": self._np is not None}
+        return {"name": self.name}
 
     def __setstate__(self, state):
-        super().__setstate__(state)
         lib = _kernel.load_kernel()
         if lib is None:  # pragma: no cover - host lost its compiler
             raise RuntimeError(
                 "native plane kernel unavailable after unpickling; "
                 "forward the backend name instead of the instance"
             )
-        self._lib = lib
-        self._programs = {}
-        self._marshal = {}
-        self._mask_rows = {}
-        self._tile = int(lib.repro_tile_words())
-        self._local = threading.local()
+        self.__init__(lib)
+        self.name = state["name"]
+
+    # ------------------------------------------------------------------
+    # Layout helpers
+    # ------------------------------------------------------------------
+    @staticmethod
+    def words_for(lanes: int) -> int:
+        """Lane words needed for ``lanes`` lanes (explicit addressing)."""
+        return (lanes + _WORD_BITS - 1) >> 6
+
+    @staticmethod
+    def lane_address(lane: int) -> Tuple[int, int]:
+        """``(word_index, bit_index)`` of a lane -- the layout contract."""
+        return lane >> 6, lane & 63
+
+    @staticmethod
+    def _tail_mask(lanes: int) -> int:
+        tail = lanes & 63
+        return (1 << tail) - 1 if tail else _FULL_WORD
+
+    # ------------------------------------------------------------------
+    # Allocation / packing / conversion
+    # ------------------------------------------------------------------
+    def zeros(self, lanes: int) -> array:
+        return _zero_words(self.words_for(lanes))
+
+    def ones(self, lanes: int) -> array:
+        words = self.words_for(lanes)
+        plane = array("Q", [_FULL_WORD]) * words
+        if words:
+            plane[-1] = self._tail_mask(lanes)
+        return plane
+
+    def from_int(self, value: int, lanes: int) -> array:
+        words = self.words_for(lanes)
+        value &= (1 << lanes) - 1  # enforce the tail-mask invariant
+        return self.from_bytes(value.to_bytes(words * 8, "little"), lanes)
+
+    def from_bytes(self, data: bytes, lanes: int) -> array:
+        words = self.words_for(lanes)
+        if len(data) < words * 8:
+            data = data + bytes(words * 8 - len(data))
+        plane = array("Q")
+        plane.frombytes(data[: words * 8])
+        if sys.byteorder == "big":
+            plane.byteswap()
+        if words:
+            plane[-1] &= self._tail_mask(lanes)
+        return plane
+
+    def coerce(self, plane, lanes: int) -> array:
+        if isinstance(plane, int):
+            return self.from_int(plane, lanes)
+        if isinstance(plane, array):
+            return plane
+        raise TypeError(f"native backend got a {type(plane).__name__} plane")
+
+    def to_int(self, plane: array, lanes: int) -> int:
+        return int.from_bytes(self.to_bytes(plane, lanes), "little")
+
+    def to_bytes(self, plane: array, lanes: int) -> bytes:
+        if sys.byteorder == "big":
+            plane = array("Q", plane)
+            plane.byteswap()
+        return plane.tobytes()[: (lanes + 7) >> 3]
+
+    # ------------------------------------------------------------------
+    # Bitwise plane ops and queries, in the kernel
+    # ------------------------------------------------------------------
+    def _bitwise(self, op: int, a: array, b: array) -> array:
+        out = _zero_words(len(a))
+        self._lib.repro_bitwise(op, _qptr(a), _qptr(b), _qptr(out), len(a))
+        return out
+
+    def band(self, a: array, b: array) -> array:
+        return self._bitwise(0, a, b)
+
+    def bor(self, a: array, b: array) -> array:
+        return self._bitwise(1, a, b)
+
+    def bxor(self, a: array, b: array) -> array:
+        return self._bitwise(2, a, b)
+
+    def bnot(self, a: array, lanes: int) -> array:
+        out = _zero_words(len(a))
+        self._lib.repro_not_masked(
+            _qptr(a), _qptr(out), len(a), self._tail_mask(lanes)
+        )
+        return out
+
+    def eq(self, a: array, b: array) -> bool:
+        return a == b
+
+    def any(self, a: array) -> bool:
+        return any(a)
+
+    def popcount(self, a: array) -> int:
+        return int(self._lib.repro_popcount(_qptr(a), len(a)))
+
+    def get_lane(self, a: array, lane: int) -> int:
+        word, bit = self.lane_address(lane)
+        return (a[word] >> bit) & 1
+
+    def iter_set_lanes(self, a: array, lanes: int) -> Iterator[int]:
+        n = self.popcount(a)
+        if not n:
+            return iter(())
+        out = (ctypes.c_int32 * n)()
+        got = self._lib.repro_extract_lanes(_qptr(a), len(a), out, n)
+        return iter(out[:got])
 
     def _scratch_addr(self, n_slots: int) -> int:
         """Address of a reusable per-thread tile slab (one C call at a time).
@@ -103,13 +224,8 @@ class _KernelArrayBackend(ArrayBackend):
         nwords = 2 * n_slots * self._tile
         cached = getattr(self._local, "scratch", None)
         if cached is None or cached[1] < nwords:
-            if self._np is not None:
-                buf = self._np.empty(nwords, dtype=self._np.uint64)
-                addr = buf.ctypes.data
-            else:
-                buf = array("Q", bytes(8 * nwords))
-                addr = buf.buffer_info()[0]
-            cached = (buf, nwords, addr)
+            buf = _zero_words(nwords)
+            cached = (buf, nwords, _qptr(buf))
             self._local.scratch = cached
         return cached[2]
 
@@ -165,28 +281,8 @@ class _KernelArrayBackend(ArrayBackend):
             return
         prog, preload, dsts = self._lower(ops)
         n_slots = len(p0)
-        if self._np is not None:
-            np = self._np
-            slab = np.empty((2, n_slots, words), dtype=np.uint64)
-            slab0, slab1 = slab[0], slab[1]
-            for s in preload:
-                slab0[s] = p0[s]
-                slab1[s] = p1[s]
-            self._lib.repro_run_program(
-                prog,
-                len(ops),
-                slab0.ctypes.data,
-                slab1.ctypes.data,
-                words,
-                _FULL_WORD,
-            )
-            # Slab-row views, not copies: detach() copies on retention.
-            for d in dsts:
-                p0[d] = slab0[d]
-                p1[d] = slab1[d]
-            return
-        slab0 = array("Q", bytes(8 * n_slots * words))
-        slab1 = array("Q", bytes(8 * n_slots * words))
+        slab0 = _zero_words(n_slots * words)
+        slab1 = _zero_words(n_slots * words)
         for s in preload:
             slab0[s * words : (s + 1) * words] = p0[s]
             slab1[s * words : (s + 1) * words] = p1[s]
@@ -196,32 +292,6 @@ class _KernelArrayBackend(ArrayBackend):
         for d in dsts:
             p0[d] = slab0[d * words : (d + 1) * words]
             p1[d] = slab1[d * words : (d + 1) * words]
-
-    # ------------------------------------------------------------------
-    # Kernel-accelerated primitives
-    # ------------------------------------------------------------------
-    def _ptr(self, plane) -> int:
-        if self._np is not None:
-            return plane.ctypes.data
-        return _qptr(plane)
-
-    def _contiguous(self, plane):
-        if self._np is not None and not plane.flags["C_CONTIGUOUS"]:
-            return self._np.ascontiguousarray(plane)
-        return plane
-
-    def popcount(self, a) -> int:
-        a = self._contiguous(a)
-        return int(self._lib.repro_popcount(self._ptr(a), len(a)))
-
-    def iter_set_lanes(self, a, lanes: int) -> Iterator[int]:
-        a = self._contiguous(a)
-        n = self.popcount(a)
-        if not n:
-            return iter(())
-        out = (ctypes.c_int32 * n)()
-        got = self._lib.repro_extract_lanes(self._ptr(a), len(a), out, n)
-        return iter(out[:got])
 
     def _rank_range_marshal(self, ops, preload, dsts, in_t, consts_t, cmp_t):
         """Cached per-(program, slot layout) ctypes arrays for the C call.
@@ -291,7 +361,7 @@ class _KernelArrayBackend(ArrayBackend):
         ]
         if len(self._mask_rows) >= _PROGRAM_CACHE_CAP:
             self._mask_rows.clear()
-        addrs = (self._ptr(planes[0]), self._ptr(planes[1]), row)
+        addrs = (_qptr(planes[0]), _qptr(planes[1]), row)
         self._mask_rows[key] = (masks, planes, addrs)
         return addrs
 
@@ -313,7 +383,7 @@ class _KernelArrayBackend(ArrayBackend):
             ops, preload, dsts, tuple(in_slots), tuple(consts), cmp_t
         )
         m0, m1, row = self._rank_range_masks(masks, period)
-        diff = self._empty_plane(self.words_for((g_hi - g_lo) * period))
+        diff = _zero_words(self.words_for((g_hi - g_lo) * period))
         mismatches = self._lib.repro_rank_range_select_diff(
             prog,
             len(ops),
@@ -333,7 +403,7 @@ class _KernelArrayBackend(ArrayBackend):
             # One extra tile row per plane holds the generated sel row.
             self._scratch_addr(n_slots + 1),
             n_slots,
-            self._ptr(diff),
+            _qptr(diff),
         )
         return diff, int(mismatches)
 
@@ -345,21 +415,15 @@ class _KernelArrayBackend(ArrayBackend):
         """`value` as a `words`-long lane-word buffer (little-endian)."""
         return self.from_bytes(value.to_bytes(words * 8, "little"), words * 64)
 
-    def _empty_plane(self, words: int):
-        """Uninitialized destination for the C fills (they zero first)."""
-        if self._np is not None:
-            return self._np.empty(words, dtype=self._np.uint64)
-        return array("Q", bytes(8 * words))
-
     def from_pattern(self, value: int, period: int, lanes: int):
         words = self.words_for(lanes)
         if not words:
             return self.zeros(lanes)
-        dst = self._empty_plane(words)
+        dst = _zero_words(words)
         # One spare word: the kernel reads the pattern in 64-bit windows.
         pat = self._int_plane(value, self.words_for(period) + 1)
         self._lib.repro_fill_pattern(
-            self._ptr(dst), words, self._ptr(pat), period, lanes
+            _qptr(dst), words, _qptr(pat), period, lanes
         )
         return dst
 
@@ -367,11 +431,11 @@ class _KernelArrayBackend(ArrayBackend):
         words = self.words_for(lanes)
         if not words:
             return self.zeros(lanes)
-        dst = self._empty_plane(words)
+        dst = _zero_words(words)
         count = -(-lanes // run)
         bits = self._int_plane(value & ((1 << count) - 1), self.words_for(count))
         self._lib.repro_fill_expand(
-            self._ptr(dst), words, self._ptr(bits), run, lanes
+            _qptr(dst), words, _qptr(bits), run, lanes
         )
         return dst
 
@@ -379,42 +443,9 @@ class _KernelArrayBackend(ArrayBackend):
         words = self.words_for(lanes)
         if not words:
             return self.zeros(lanes)
-        dst = self._empty_plane(words)
-        self._lib.repro_fill_prefix(self._ptr(dst), words, first, period, lanes)
+        dst = _zero_words(words)
+        self._lib.repro_fill_prefix(_qptr(dst), words, first, period, lanes)
         return dst
-
-    # The stdlib-array variant's word loops are the slowest path in the
-    # tree; route its primitive ops through the kernel too (the numpy
-    # variant keeps its ufuncs -- already native speed).
-    def band(self, a, b):
-        if self._np is not None:
-            return super().band(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(0, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bor(self, a, b):
-        if self._np is not None:
-            return super().bor(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(1, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bxor(self, a, b):
-        if self._np is not None:
-            return super().bxor(a, b)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_bitwise(2, _qptr(a), _qptr(b), _qptr(out), len(a))
-        return out
-
-    def bnot(self, a, lanes: int):
-        if self._np is not None:
-            return super().bnot(a, lanes)
-        out = array("Q", bytes(8 * len(a)))
-        self._lib.repro_not_masked(
-            _qptr(a), _qptr(out), len(a), self._tail_mask(lanes)
-        )
-        return out
 
 
 class NativeBackend(PlaneBackend):
@@ -435,7 +466,7 @@ class NativeBackend(PlaneBackend):
         if impl is None:
             lib = _kernel.load_kernel()
             if lib is not None:
-                impl = _KernelArrayBackend(lib)
+                impl = _KernelBackend(lib)
                 impl.name = self.name
             else:
                 _kernel.emit_fallback_notice()
@@ -458,7 +489,7 @@ class NativeBackend(PlaneBackend):
     @property
     def built(self) -> bool:
         """True when the C kernel is loaded (not the bigint fallback)."""
-        return isinstance(self._resolve(), _KernelArrayBackend)
+        return isinstance(self._resolve(), _KernelBackend)
 
     @property
     def variant(self) -> str:

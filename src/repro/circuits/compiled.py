@@ -35,8 +35,9 @@ arbitrary-precision int, a numpy ``uint64`` array, a stdlib word array
 -- is owned by a :class:`~repro.backends.PlaneBackend`
 (:mod:`repro.backends`); :class:`TritVec` and :class:`CompiledCircuit`
 are parameterized by one.  The default (``"bigint"``) reproduces the
-original behavior exactly; the ``"array"`` backend trades big-int carry
-chains for fixed-width vectorized word ops.  The backend also owns the
+original behavior exactly; the ``"array"`` and ``"native"`` backends
+trade big-int carry chains for fixed-width word ops (numpy ufuncs, or
+one C-kernel call per program).  The backend also owns the
 compiled-op sweep (``run_ops``), so each representation keeps a
 specialized hot loop.
 
@@ -98,7 +99,7 @@ class TritVec:
         '0MM'
 
     Equality and hashing are *content*-based across backends: the same
-    trits on ``bigint`` and ``array`` planes compare equal.
+    trits on ``bigint`` and ``native`` planes compare equal.
     """
 
     __slots__ = ("n", "p0", "p1", "backend")
@@ -727,7 +728,7 @@ def compile_circuit(
         circuit._compiled_cache = cache
     program = cache.get(be.name)
     # `backend is not be` catches a re-registered backend instance under
-    # the same name (tests swap the numpy/fallback array variants).
+    # the same name (tests register fresh instances under a name).
     if program is None or program.backend is not be:
         program = CompiledCircuit(circuit, be)
         cache[be.name] = program

@@ -1,8 +1,9 @@
 """Job-oriented async service layer over the verification engine.
 
 The public API of the reproduction, redesigned around *jobs*: typed
-requests (:class:`VerifyRequest`, :class:`SortRequest`) are submitted
-to a :class:`JobManager`, which drives the sharded sweeps through
+requests (:class:`VerifyRequest`, :class:`SortRequest`, defined in
+:mod:`repro.requests` so the CLI can run them without importing this
+package and asyncio) are submitted to a :class:`JobManager`, which drives the sharded sweeps through
 asyncio with per-shard progress, an ``async for`` failure stream, and
 cooperative cancellation.  :class:`ReproServer` exposes the manager
 over a dependency-free JSON-lines TCP protocol;

@@ -44,12 +44,10 @@ from typing import Any, Dict, Optional
 # lives in repro.distributed.wire (shared with the shard coordinator),
 # re-exported here for existing importers.
 from ..distributed.wire import decode_line, encode_line  # noqa: F401
+from ..requests import DEFAULT_HOST, DEFAULT_PORT
 from .jobs import JobManager, request_from_dict
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ReproServer", "encode_line"]
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 7421
 
 
 class ReproServer:

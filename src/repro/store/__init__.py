@@ -7,7 +7,10 @@ Public surface of the ``repro.store`` subsystem (see
   ``"memory:N"``, ``"journal:PATH"``, ``"sqlite:PATH"``, or a bare
   path (``.jsonl``/``.journal`` suffix selects the journal backend,
   anything else sqlite) -- and returns an opened
-  :class:`~repro.store.base.ResultStore`;
+  :class:`~repro.store.base.ResultStore`.  The file-backed classes live
+  in :mod:`repro.store.journal` (``JournalStore``) and
+  :mod:`repro.store.sqlite_store` (``SqliteStore``) and are imported
+  only when a spec opens one;
 * :func:`register_store_backend` is the registry hook, exactly like
   the executor and plane-backend registries;
 * :func:`shared_store` returns a per-process cached handle for a spec
@@ -22,17 +25,13 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .base import ResultStore, RunRecord, result_digest
-from .journal import JournalStore
 from .memory import MemoryStore
-from .sqlite_store import SqliteStore
 from .stacked import StackedStore
 
 __all__ = [
-    "JournalStore",
     "MemoryStore",
     "ResultStore",
     "RunRecord",
-    "SqliteStore",
     "StackedStore",
     "available_store_backends",
     "open_store",
@@ -61,9 +60,23 @@ def _make_memory(arg: str) -> ResultStore:
     return MemoryStore(maxsize=int(arg)) if arg else MemoryStore()
 
 
+# The file-backed stores are imported when first opened, so a sweep
+# without a store never loads sqlite3.
+def _make_journal(arg: str) -> ResultStore:
+    from .journal import JournalStore
+
+    return JournalStore(arg)
+
+
+def _make_sqlite(arg: str) -> ResultStore:
+    from .sqlite_store import SqliteStore
+
+    return SqliteStore(arg)
+
+
 register_store_backend("memory", _make_memory)
-register_store_backend("journal", lambda arg: JournalStore(arg))
-register_store_backend("sqlite", lambda arg: SqliteStore(arg))
+register_store_backend("journal", _make_journal)
+register_store_backend("sqlite", _make_sqlite)
 
 
 def open_store(spec: str) -> ResultStore:

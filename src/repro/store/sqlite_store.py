@@ -181,10 +181,17 @@ class SqliteStore(ResultStore):
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
+                # A stored result means some claimant already finished
+                # (its put deleted the claim row): refuse, so the
+                # caller's next get returns that value instead of
+                # recomputing it.
+                done = self._conn.execute(
+                    "SELECT 1 FROM results WHERE key = ?", (text,)
+                ).fetchone()
                 row = self._conn.execute(
                     "SELECT ts FROM claims WHERE key = ?", (text,)
                 ).fetchone()
-                if row is not None and now - row[0] < ttl:
+                if done is not None or (row is not None and now - row[0] < ttl):
                     self._conn.execute("COMMIT")
                     return False
                 self._conn.execute(

@@ -16,7 +16,7 @@ function over a task list::
     executor(worker, tasks, jobs=..., initializer=..., initargs=...)
         -> [worker(t) for t in tasks]      # results in task order
 
-Two executors ship by default:
+Two local executors ship by default:
 
 * ``"serial"``  -- in-process loop; the semantic reference and the
   zero-overhead path for one job,
@@ -25,17 +25,15 @@ Two executors ship by default:
   once and the program is reused across that worker's shards).
 
 :func:`register_executor` is the backend hook, exactly like the engine
-registry in :mod:`repro.networks.simulate`.  Two more executors ride
+registry in :mod:`repro.networks.simulate`.  A third executor rides
 on it: ``"distributed"`` leases tasks to socket-connected worker
 agents on other hosts (:mod:`repro.distributed` -- imported lazily by
-its registration stub), and the ``"array"`` executor
-uses it: an in-process executor that pins the ``array`` plane backend
-(:mod:`repro.backends`) for its tasks, so ``--jobs 1 --backend array``
-semantics are reachable purely by executor name, with no caller
-changes.  Orthogonally, every sharded entry point takes a ``backend``
-argument that the pool initializers forward to workers **by name**, so
-any executor can run any plane representation (process pools pickle
-the name, never the backend object).
+its registration stub, as is :mod:`multiprocessing` by the process
+executor, so a serial sweep loads neither).  Orthogonally, every
+sharded entry point takes a ``backend`` argument that the pool
+initializers forward to workers **by name**, so any executor can run
+any plane representation (process pools pickle the name, never the
+backend object).
 
 **Determinism.**  Executors must return results in task order; callers
 merge with :meth:`VerificationResult.merge` (or plain concatenation for
@@ -46,7 +44,6 @@ batch workloads), so the outcome is bit-identical for any job count --
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import os
 import socket
 import threading
@@ -58,7 +55,6 @@ from ..backends import (
     PlaneBackend,
     get_backend,
     resolve_backend_name,
-    use_backend,
 )
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
@@ -206,6 +202,8 @@ def _pool_context():
     workers in this codebase are module-level with picklable initargs,
     so both contexts run them identically.
     """
+    import multiprocessing
+
     if threading.current_thread() is threading.main_thread():
         return multiprocessing.get_context()
     return multiprocessing.get_context("spawn")
@@ -275,31 +273,6 @@ def _process_executor(
         return out
 
 
-def _array_executor(
-    worker: Worker,
-    tasks: Sequence[Any],
-    jobs: int = 1,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
-    on_result: Optional[OnResult] = None,
-    should_stop: Optional[ShouldStop] = None,
-) -> List[Any]:
-    """In-process executor pinned to the ``array`` plane backend.
-
-    The ROADMAP's registry hook made concrete: selecting
-    ``executor="array"`` runs the serial loop with the process-default
-    plane backend scoped to ``"array"``, so initializers that compile
-    with the default backend pick up numpy/word-array planes without
-    any caller passing a backend around.  An explicit ``backend=``
-    argument on the caller still wins (it reaches the initializer as a
-    name and overrides the scoped default).
-    """
-    with use_backend("array"):
-        return _serial_executor(
-            worker, tasks, jobs, initializer, initargs, on_result, should_stop
-        )
-
-
 def _distributed_executor(
     worker: Worker,
     tasks: Sequence[Any],
@@ -336,7 +309,6 @@ def _distributed_executor(
 
 register_executor("serial", _serial_executor)
 register_executor("process", _process_executor)
-register_executor("array", _array_executor)
 register_executor("distributed", _distributed_executor)
 
 
@@ -515,8 +487,8 @@ def _default_pair_shard_size(
 
     * **load balance** -- ~4 shards per worker, but never above the
       backend's preferred per-shard lane count (big-int planes want the
-      slot file cache-resident; word-array planes want enough words per
-      op to amortize call overhead);
+      slot file cache-resident; the native kernel tiles internally and
+      wants few, wide shards);
     * **plane-construction/run split at B = 10..13** -- a g-row of the
       pair product is ``S = 2^(B+1)-1`` lanes, and building its planes
       costs O(width * S) big-int block work *per row* while the program
@@ -621,16 +593,8 @@ def verify_two_sort_sharded(
         # on one concrete backend (workers on compiler-less hosts still
         # degrade via the native proxy's bigint fallback).
         backend = resolve_backend_name(backend)
-    # The executor may scope a different default backend ("array"), in
-    # which case the explicit-backend resolution here still matches
-    # what workers compile: None resolves identically in both places
-    # only for in-process executors, so size (and key the cache) by
-    # the effective backend name.
-    effective_backend = backend if backend is not None else (
-        "array" if executor == "array" else None
-    )
     if shard_size is None:
-        shard_size = _default_pair_shard_size(width, jobs, effective_backend)
+        shard_size = _default_pair_shard_size(width, jobs, backend)
     shards = pair_shards(width, shard_size)
     total = len(shards)
     # The sweep's shared-setup descriptor: remote workers compile once
@@ -662,7 +626,7 @@ def verify_two_sort_sharded(
         )
         return VerificationResult.merge(results)
 
-    backend_name = get_backend(effective_backend).name
+    backend_name = get_backend(backend).name
     circuit_hash = epoch.circuit_hash
     # `store` and `cache` are one seam with two granularities: `store`
     # wins when both are given, and by default switches the sweep to
@@ -678,8 +642,7 @@ def verify_two_sort_sharded(
     if region_mode:
         merged = _run_region_sweep(
             circuit, width, shards, jobs, executor, backend, backend_name,
-            circuit_hash, effective_backend, handle, on_shard, should_stop,
-            epoch,
+            circuit_hash, handle, on_shard, should_stop, epoch,
         )
     else:
         merged = _run_circuit_sweep(
@@ -787,7 +750,6 @@ def _run_region_sweep(
     backend: BackendLike,
     backend_name: str,
     circuit_hash: str,
-    effective_backend: BackendLike,
     store: Optional[Any],
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
@@ -843,7 +805,7 @@ def _run_region_sweep(
             return hit
         if full_program is None:
             full_program = compile_circuit(
-                circuit, get_backend(effective_backend)
+                circuit, get_backend(backend)
             )
         result = verify_two_sort_shard(full_program, width, g_lo, g_hi)
         if store is not None:

@@ -39,7 +39,6 @@ from repro.ternary.word import Word
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import (
     _default_pair_shard_size,
-    available_executors,
     verify_two_sort_sharded,
 )
 from repro.graycode.valid import from_rank
@@ -81,9 +80,6 @@ def backend(request):
 class TestRegistry:
     def test_builtin_backends_present(self):
         assert {"bigint", "array"} <= set(available_backends())
-
-    def test_executor_registry_gained_array(self):
-        assert "array" in available_executors()
 
     def test_get_backend_by_name_and_instance(self):
         be = get_backend("bigint")
@@ -640,23 +636,6 @@ class TestVerifyBackends:
         )
         ref = verify_two_sort_circuit(circuit, 4)
         assert (out.checked, out.failure_count) == (ref.checked, 0)
-
-    def test_array_executor_pins_array_backend(self):
-        """The ROADMAP hook: executor="array" alone (no backend arg)
-        must run plane work on the array backend."""
-        circuit = build_two_sort(4)
-        result = verify_two_sort_sharded(circuit, 4, jobs=1, executor="array")
-        assert result.ok and result.checked == 961
-        cache = circuit._compiled_cache
-        assert "array" in cache and cache["array"].backend.name == "array"
-
-    def test_explicit_backend_beats_array_executor(self):
-        circuit = build_two_sort(3)
-        result = verify_two_sort_sharded(
-            circuit, 3, jobs=1, executor="array", backend="bigint"
-        )
-        assert result.ok
-        assert "bigint" in circuit._compiled_cache
 
     def test_fallback_via_registry_monkeypatch(self):
         """Numpy-absent path through the public name-based selection."""

@@ -30,7 +30,7 @@ class TestCli:
         verification path (stubbed -- the full 268M-pair run is far too
         slow for a unit test).  The CLI is a thin client of
         VerifyRequest now, so the stub lives at the request's seam."""
-        import repro.service.jobs as jobs
+        import repro.requests as requests
         from repro.verify.exhaustive import VerificationResult
 
         seen = {}
@@ -39,8 +39,8 @@ class TestCli:
             seen["width"] = width
             return VerificationResult(checked=1)
 
-        monkeypatch.setattr(jobs, "verify_two_sort_sharded", fake_verify)
-        monkeypatch.setattr(jobs, "build_two_sort", lambda width: None)
+        monkeypatch.setattr(requests, "verify_two_sort_sharded", fake_verify)
+        monkeypatch.setattr(requests, "build_two_sort", lambda width: None)
         assert main(["verify", "--width", "13"]) == 0
         assert seen["width"] == 13
         assert "1 cases checked: OK" in capsys.readouterr().out
@@ -73,19 +73,19 @@ class TestCli:
 
     def test_verify_validation_happens_before_work(self, monkeypatch, capsys):
         """Bad arguments must not reach the verification layer at all."""
-        import repro.service.jobs as jobs
+        import repro.requests as requests
 
         def boom(*a, **kw):  # pragma: no cover - must not run
             raise AssertionError("verification ran despite bad args")
 
-        monkeypatch.setattr(jobs, "verify_two_sort_sharded", boom)
+        monkeypatch.setattr(requests, "verify_two_sort_sharded", boom)
         assert main(["verify", "--width", "4", "--jobs", "-3"]) == 2
 
     def test_verify_backend_flag_bit_identical(self, capsys):
-        """--backend array and --backend bigint: same summary, jobs 1+2
+        """--backend bigint, array and native: same summary, jobs 1+2
         (the acceptance contract)."""
         outputs = []
-        for backend in ("bigint", "array"):
+        for backend in ("bigint", "array", "native"):
             for jobs in ("1", "2"):
                 assert main(
                     ["verify", "--width", "5", "--jobs", jobs,
@@ -144,7 +144,7 @@ class TestCli:
         """--executor finally exposes the registry: serial stays serial
         even with --jobs > 1 (which used to hard-imply process)."""
         outputs = []
-        for executor in ("serial", "process", "array"):
+        for executor in ("serial", "process"):
             assert main(
                 ["verify", "--width", "5", "--jobs", "2",
                  "--executor", executor]
@@ -158,14 +158,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown executor 'quantum'" in err
         assert "serial" in err and "distributed" in err
+        assert main(["verify", "--width", "4", "--executor", "array"]) == 2
+        assert "unknown executor 'array'" in capsys.readouterr().err
 
     def test_verify_executor_validated_before_work(self, monkeypatch, capsys):
-        import repro.service.jobs as jobs
+        import repro.requests as requests
 
         def boom(*a, **kw):  # pragma: no cover - must not run
             raise AssertionError("verification ran despite bad executor")
 
-        monkeypatch.setattr(jobs, "verify_two_sort_sharded", boom)
+        monkeypatch.setattr(requests, "verify_two_sort_sharded", boom)
         assert main(["verify", "--width", "4", "--executor", "nope"]) == 2
 
     def test_verify_distributed_requires_listen(self, capsys):
@@ -297,13 +299,13 @@ class TestCli:
     def test_sort_engine_compiled_with_backend(self, capsys):
         assert main(
             ["sort", "0110", "0M10", "0010", "--engine", "compiled",
-             "--backend", "array"]
+             "--backend", "native"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0010", "0M10", "0110"]
 
     def test_sort_backend_requires_compiled_engine(self, capsys):
-        assert main(["sort", "01", "00", "--backend", "array"]) == 2
+        assert main(["sort", "01", "00", "--backend", "native"]) == 2
         assert "--engine compiled" in capsys.readouterr().err
 
     def test_sort_rejects_unknown_engine(self):
@@ -361,7 +363,7 @@ class TestCliJson:
     ):
         import json
 
-        import repro.service.jobs as jobs
+        import repro.requests as requests
         from repro.verify.exhaustive import VerificationResult
 
         def fake_verify(circuit, width, **kwargs):
@@ -371,8 +373,8 @@ class TestCliJson:
                 r.record(f"boom {i}")
             return r
 
-        monkeypatch.setattr(jobs, "verify_two_sort_sharded", fake_verify)
-        monkeypatch.setattr(jobs, "build_two_sort", lambda width: None)
+        monkeypatch.setattr(requests, "verify_two_sort_sharded", fake_verify)
+        monkeypatch.setattr(requests, "build_two_sort", lambda width: None)
         assert main(["verify", "--width", "4", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failure_count"] == 25
@@ -385,3 +387,54 @@ class TestCliJson:
 
         assert main(["sort", "0110", "0M10", "0010", "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == ["0010", "0M10", "0110"]
+
+
+# ----------------------------------------------------------------------
+# Import budget
+# ----------------------------------------------------------------------
+_IMPORT_PROBE = """
+import runpy, sys
+sys.argv = ["repro", "verify", "--width", "4"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(sys.modules))
+"""
+
+#: What a plain ``verify`` must never pay for: numpy (no backend uses
+#: it), the service's asyncio/ssl stack, the sqlite store, the process
+#: pool, and the service's thread pool.
+_NOT_ON_VERIFY_PATH = (
+    "numpy",
+    "asyncio",
+    "ssl",
+    "sqlite3",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
+
+def test_plain_verify_import_budget():
+    """`python -m repro verify --width 4` in a fresh interpreter loads
+    none of the modules only other commands and options use."""
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert "961 cases checked: OK" in lines[0]
+    loaded = set(ast.literal_eval(lines[-1]))
+    assert "repro.verify.parallel" in loaded  # the probe really ran
+    assert sorted(loaded.intersection(_NOT_ON_VERIFY_PATH)) == []

@@ -875,10 +875,15 @@ class TestChaosAcceptance:
             on_file = self._journal_results(journal)
             assert on_file >= 8
             # Fresh workers dial the (still dead) coordinator address
-            # through the proxy first -- startup order is free.
+            # through the proxy first -- startup order is free.  Both
+            # must attach before the remainder is done (each asserts a
+            # clean exit below), but a worker whose redial lands just
+            # before the coordinator listens sleeps its next backoff
+            # step (0.4-0.8 s); an unthrottled remainder finishes in
+            # ~0.4 s, so the throttle keeps the sweep open past it.
             workers = [
-                self._spawn_worker(via_proxy, "w3", env, throttle=0.0),
-                self._spawn_worker(via_proxy, "w4", env, throttle=0.0),
+                self._spawn_worker(via_proxy, "w3", env),
+                self._spawn_worker(via_proxy, "w4", env),
             ]
             time.sleep(0.5)
             resumed = run_verify(["--resume", journal])

@@ -430,3 +430,49 @@ def test_cached_build_of_another_abi_is_refused_and_rebuilt(
         assert _abi_of(healed) == 3
     finally:
         _kernel._reset_for_tests()
+
+
+def _fake_compiler(path, body):
+    path.write_text(body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_compiler_identity_keys_on_the_compiler_file(tmp_path):
+    """Different compiler files -- a switch, an upgrade in place, or a
+    $CC wrapper -- get different artifact paths."""
+    source = "int x;\n"
+    a = _fake_compiler(tmp_path / "cc-a", "#!/bin/sh\nexec cc \"$@\"\n")
+    b = _fake_compiler(tmp_path / "cc-b", "#!/bin/sh\nexec cc -g \"$@\"\n")
+    path_a = _kernel._artifact_path(source, a)
+    assert _kernel._artifact_path(source, a) == path_a  # stable
+    assert _kernel._artifact_path(source, b) != path_a
+    # Same path, new contents and mtime: an upgraded compiler rebuilds.
+    _fake_compiler(tmp_path / "cc-a", "#!/bin/sh\nexec cc -O0 \"$@\"\n")
+    os.utime(a, ns=(1, 1))
+    assert _kernel._artifact_path(source, a) != path_a
+    # A symlink to a compiler is that compiler.
+    link = tmp_path / "cc-link"
+    link.symlink_to(b)
+    assert _kernel._artifact_path(source, str(link)) == _kernel._artifact_path(
+        source, b
+    )
+
+
+@needs_kernel
+def test_warm_kernel_load_starts_no_subprocess(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    _kernel._reset_for_tests()
+    try:
+        assert _kernel.load_kernel() is not None  # cold: builds
+        _kernel._reset_for_tests()
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError(f"subprocess started: {args!r}")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        lib = _kernel.load_kernel()
+        assert lib is not None, _kernel.load_failure_reason()
+    finally:
+        _kernel._reset_for_tests()

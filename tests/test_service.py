@@ -64,7 +64,7 @@ def throttled_executor():
 # ----------------------------------------------------------------------
 class TestRequests:
     def test_verify_round_trip(self):
-        req = VerifyRequest(width=8, jobs=2, backend="array")
+        req = VerifyRequest(width=8, jobs=2, backend="native")
         back = request_from_dict(req.to_dict())
         assert back == req
 
@@ -101,7 +101,7 @@ class TestRequests:
     def test_sort_backend_needs_compiled(self):
         with pytest.raises(ValueError, match="compiled"):
             SortRequest.single(["01", "00"], engine="fsm",
-                               backend="array").validate()
+                               backend="native").validate()
 
     def test_sort_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):
@@ -261,7 +261,7 @@ class TestJobLifecycle:
 
     def test_verify_failure_events(self, monkeypatch):
         """Failures recorded by shards surface as stream events."""
-        import repro.service.jobs as jobs
+        import repro.requests as requests
         from repro.verify.exhaustive import VerificationResult
 
         def fake_verify(circuit, width, on_shard=None, should_stop=None,
@@ -278,8 +278,8 @@ class TestJobLifecycle:
             )
             return merged
 
-        monkeypatch.setattr(jobs, "verify_two_sort_sharded", fake_verify)
-        monkeypatch.setattr(jobs, "build_two_sort", lambda width: None)
+        monkeypatch.setattr(requests, "verify_two_sort_sharded", fake_verify)
+        monkeypatch.setattr(requests, "build_two_sort", lambda width: None)
 
         async def go():
             manager = JobManager(jobs=1)
@@ -458,7 +458,7 @@ class TestManagerCache:
 
     def test_default_backend_applied(self):
         async def go():
-            manager = JobManager(jobs=1, default_backend="array")
+            manager = JobManager(jobs=1, default_backend="native")
             try:
                 job = manager.submit(VerifyRequest(width=4))
                 await manager.wait(job.id)
@@ -467,7 +467,7 @@ class TestManagerCache:
                 await manager.aclose()
 
         job = asyncio.run(go())
-        assert job.request.backend == "array"
+        assert job.request.backend == "native"
         assert job.state is JobState.DONE
         assert job.result.checked == pairs(4)
 
@@ -475,7 +475,7 @@ class TestManagerCache:
         """A server-wide default plane backend must not invalidate sort
         jobs whose engine has no planes (regression: the fsm default)."""
         async def go():
-            manager = JobManager(jobs=1, default_backend="array")
+            manager = JobManager(jobs=1, default_backend="native")
             try:
                 job = manager.submit(
                     SortRequest.single(["0110", "0010"], engine="fsm")
@@ -493,7 +493,7 @@ class TestManagerCache:
         assert job.state is JobState.DONE
         assert job.request.backend is None  # untouched
         assert compiled.state is JobState.DONE
-        assert compiled.request.backend == "array"  # default applied
+        assert compiled.request.backend == "native"  # default applied
 
     def test_finished_jobs_are_evicted_beyond_retention(self):
         async def go():

@@ -18,15 +18,10 @@ import pytest
 from repro.__main__ import main
 from repro.circuits.gates import INV
 from repro.core.two_sort import build_two_sort
-from repro.store import (
-    JournalStore,
-    MemoryStore,
-    SqliteStore,
-    StackedStore,
-    open_store,
-    result_digest,
-)
+from repro.store import MemoryStore, StackedStore, open_store, result_digest
 from repro.store.base import RunRecord, wait_for
+from repro.store.journal import JournalStore
+from repro.store.sqlite_store import SqliteStore
 from repro.verify import parallel
 from repro.verify.exhaustive import (
     SweepEpoch,
@@ -195,6 +190,17 @@ class TestPersistence:
             # An expired claim is reclaimable (ttl in the past).
             assert a.claim(("x",), ttl=0.0) is True
             assert b.claim(("x",), ttl=0.0) is True
+
+    def test_sqlite_claim_refused_once_result_stored(self, tmp_path):
+        """Regression: a put deletes the claimant's claim row, so a
+        handle that missed on get and then claimed used to be granted
+        and recompute the stored shard."""
+        path = str(tmp_path / "r.db")
+        with SqliteStore(path) as a, SqliteStore(path) as b:
+            a.put(("k",), {"lanes": 1, "mismatches": 0})
+            assert b.claim(("k",), ttl=60.0) is False
+            assert b.claim(("k",), ttl=0.0) is False
+            assert b.get(("k",)) == {"lanes": 1, "mismatches": 0}
 
     def test_wait_for_executes_once_per_key(self, tmp_path):
         with SqliteStore(str(tmp_path / "w.db")) as store:
@@ -427,7 +433,7 @@ _SWEEP_SCRIPT = textwrap.dedent(
     """
     import json, sys
     from repro.core.two_sort import build_two_sort
-    from repro.store import SqliteStore
+    from repro.store.sqlite_store import SqliteStore
     from repro.verify import parallel
     from repro.verify.parallel import verify_two_sort_sharded
 
