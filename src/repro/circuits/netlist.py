@@ -278,6 +278,22 @@ class Circuit:
         self._region_hash_cache = (self._version, result)
         return result
 
+    def cone_sizes(self) -> Tuple[int, ...]:
+        """Gate count of each primary output's fan-in cone.
+
+        What running one output's cone program costs next to the whole
+        circuit's ``len(gates)``; cones share gates, so the sizes may
+        sum to several times that.  Cached per :attr:`version`.
+        """
+        cached = getattr(self, "_cone_size_cache", None)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        result = tuple(
+            len(self._cone(idx)[0]) for idx in range(len(self._outputs))
+        )
+        self._cone_size_cache = (self._version, result)
+        return result
+
     def extract_cone(self, output_index: int) -> "Circuit":
         """A standalone circuit computing just one primary output.
 

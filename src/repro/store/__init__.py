@@ -13,15 +13,17 @@ Public surface of the ``repro.store`` subsystem (see
   only when a spec opens one;
 * :func:`register_store_backend` is the registry hook, exactly like
   the executor and plane-backend registries;
-* :func:`shared_store` returns a per-process cached handle for a spec
-  -- the worker-side entry point: pool and remote workers receive a
-  shareable store's spec through the sweep initargs and consult the
-  store before executing a leased range.
+* :func:`shared_store` acquires a per-process, reference-counted
+  handle for a spec and :func:`release_shared_store` drops it -- the
+  worker-side entry point: pool and remote workers receive a shareable
+  store's spec through the sweep initargs and consult the store before
+  executing a leased range.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .base import ResultStore, RunRecord, result_digest
@@ -36,6 +38,7 @@ __all__ = [
     "available_store_backends",
     "open_store",
     "register_store_backend",
+    "release_shared_store",
     "result_digest",
     "shared_store",
 ]
@@ -101,22 +104,52 @@ def open_store(spec: str) -> ResultStore:
     return _BACKENDS["sqlite"](spec)
 
 
-#: Worker-side handle cache, keyed on (pid, spec).  The pid guards
-#: forked pool workers: a SQLite connection must never be shared across
-#: a fork, so each process lazily opens its own.
-_SHARED: Dict[Tuple[int, str], ResultStore] = {}
+#: Worker-side handles, keyed on (pid, spec), each with its count of
+#: live acquisitions.  The pid guards forked pool workers: a SQLite
+#: connection must never be shared across a fork, so each process
+#: lazily opens its own.
+_SHARED: Dict[Tuple[int, str], List[Any]] = {}
+_SHARED_LOCK = threading.Lock()
 
 
 def shared_store(spec: str) -> ResultStore:
-    """A per-process cached handle on ``spec`` (for worker consults).
+    """Acquire this process's shared handle on ``spec`` (worker consults).
 
-    Handles are kept open for the life of the process -- workers
-    consult the store per task, and reconnecting per task would turn
-    every shard into a connection handshake.
+    Concurrent acquisitions of one spec -- sweeps on the service's
+    thread pool -- share one handle, so a sweep's workers never pay a
+    connection handshake per task.  Every call must be paired with one
+    :func:`release_shared_store`; the last release closes the handle,
+    so no connection or open file outlives the sweeps that used it.
     """
     key = (os.getpid(), spec)
-    store = _SHARED.get(key)
-    if store is None:
-        store = open_store(spec)
-        _SHARED[key] = store
-    return store
+    with _SHARED_LOCK:
+        entry = _SHARED.get(key)
+        if entry is not None:
+            entry[1] += 1
+            return entry[0]
+    # Open outside the lock: a SQLite open may wait on another
+    # process's lock, and no other spec's acquire or release should
+    # wait behind it.  Two threads racing here keep the first handle.
+    store = open_store(spec)
+    with _SHARED_LOCK:
+        entry = _SHARED.get(key)
+        if entry is None:
+            entry = _SHARED[key] = [store, 0]
+        entry[1] += 1
+    if entry[0] is not store:
+        store.close()
+    return entry[0]
+
+
+def release_shared_store(spec: str) -> None:
+    """Drop one :func:`shared_store` acquisition; close on the last."""
+    key = (os.getpid(), spec)
+    with _SHARED_LOCK:
+        entry = _SHARED.get(key)
+        if entry is None:
+            return
+        entry[1] -= 1
+        if entry[1] > 0:
+            return
+        del _SHARED[key]
+    entry[0].close()

@@ -29,10 +29,22 @@ inspect and to accept from another host.
 Concurrency is part of the protocol: :meth:`ResultStore.claim` lets a
 worker announce "I am computing this key" before executing, so two
 processes sweeping the same circuit against one shared store never
-double-execute a shard.  Backends without cross-process visibility
-(memory, journal) grant every claim -- their callers already dedup
-within the process -- while the sqlite backend arbitrates claims
-transactionally.
+double-execute a shard.  A claim is refused while another live claim
+holds the key *or* once the key has a stored result, so a claimant
+that lost the race always finds the winner's value on its next get.
+Backends without cross-process visibility (memory, journal) grant
+every claim -- their callers already dedup within the process -- while
+the sqlite backend arbitrates claims transactionally.
+
+Every keyed operation also has a batch form -- :meth:`ResultStore.
+get_many`, :meth:`~ResultStore.claim_many`, :meth:`~ResultStore.
+put_many` -- because the region sweep moves all output-cone keys of
+one g-row range together.  The base class loops over the single-key
+methods; the sqlite backend runs each batch as one statement or one
+transaction, and the journal fsyncs once per batch.  Counters count
+per key either way.  :func:`wait_for_many` is the worker-side consult
+loop over a batch: get, claim the misses, compute what it claimed,
+put, then poll for the keys another claimant holds.
 """
 
 from __future__ import annotations
@@ -41,7 +53,16 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..verify.exhaustive import SweepEpoch, VerificationResult
 
@@ -53,6 +74,8 @@ __all__ = [
     "result_digest",
     "result_from_record",
     "result_to_record",
+    "wait_for",
+    "wait_for_many",
 ]
 
 
@@ -216,6 +239,22 @@ class ResultStore:
         """
         return True
 
+    # -- batch forms (one key at a time unless a backend batches) ------
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        """:meth:`get` for each key; values (or None) aligned with ``keys``."""
+        return [self.get(key) for key in keys]
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        """:meth:`put` for each ``(key, value)`` pair."""
+        for key, value in items:
+            self.put(key, value)
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
+        """:meth:`claim` for each key; grants aligned with ``keys``."""
+        return [self.claim(key, ttl=ttl) for key in keys]
+
     # -- epochs --------------------------------------------------------
     def record_epoch(
         self,
@@ -263,31 +302,56 @@ class ResultStore:
         self.close()
 
 
+def wait_for_many(
+    store: ResultStore,
+    keys: Sequence[Tuple],
+    execute: Callable[[List[Tuple]], List[Any]],
+    ttl: float = 60.0,
+    poll: float = 0.02,
+) -> List[Any]:
+    """Get-or-compute every key in ``keys`` with claim arbitration.
+
+    The worker-side consult loop: stored values are returned as they
+    are; the misses are claimed in one batch, and ``execute(claimed)``
+    computes the granted ones together (values aligned with
+    ``claimed``) before one :meth:`~ResultStore.put_many` stores them
+    and releases their claims.  Keys another claimant holds are polled
+    for instead of recomputed -- if that claimant dies, its claims
+    expire after ``ttl`` and this caller takes them over.  This is what
+    keeps two processes sweeping the same circuit against one shared
+    store from double-executing.  Returns values aligned with ``keys``.
+    """
+    keys = list(keys)
+    values = store.get_many(keys)
+    missing = [i for i, value in enumerate(values) if value is None]
+    while missing:
+        granted = store.claim_many([keys[i] for i in missing], ttl=ttl)
+        mine = [i for i, ok in zip(missing, granted) if ok]
+        if mine:
+            claimed = [keys[i] for i in mine]
+            computed = execute(claimed)
+            store.put_many(list(zip(claimed, computed)))
+            for i, value in zip(mine, computed):
+                values[i] = value
+        missing = [i for i, ok in zip(missing, granted) if not ok]
+        if not missing:
+            break
+        time.sleep(poll)
+        polled = store.get_many([keys[i] for i in missing])
+        for i, value in zip(missing, polled):
+            values[i] = value
+        missing = [i for i in missing if values[i] is None]
+    return values
+
+
 def wait_for(
     store: ResultStore,
     key: Tuple,
-    execute,
+    execute: Callable[[], Any],
     ttl: float = 60.0,
     poll: float = 0.02,
 ) -> Any:
-    """Get-or-compute ``key`` with claim arbitration.
-
-    The worker-side consult loop: return a stored value if present;
-    otherwise try to claim the key and compute it.  When another
-    claimant holds the key, poll for their result instead of
-    recomputing -- if the claimant dies, the claim's TTL expires and
-    this caller takes over.  This is what keeps two processes sweeping
-    the same circuit against one shared store from double-executing.
-    """
-    hit = store.get(key)
-    if hit is not None:
-        return hit
-    while True:
-        if store.claim(key, ttl=ttl):
-            value = execute()
-            store.put(key, value)
-            return value
-        time.sleep(poll)
-        hit = store.get(key)
-        if hit is not None:
-            return hit
+    """Get-or-compute one ``key``: :func:`wait_for_many` on one key."""
+    return wait_for_many(
+        store, [key], lambda _claimed: [execute()], ttl=ttl, poll=poll
+    )[0]

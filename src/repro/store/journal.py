@@ -25,8 +25,9 @@ journals load unchanged); ``"value"`` carries any other JSON value
 per completed sweep.
 
 Crash tolerance: writes are flushed (and by default fsynced) per
-record, and the loader tolerates a torn trailing line -- the partial
-record a SIGKILL mid-write leaves behind is counted and dropped, never
+record, or once per batch for :meth:`JournalStore.put_many`, and the
+loader tolerates a torn trailing line -- the partial record a SIGKILL
+mid-write leaves behind is counted and dropped, never
 fatal.  Duplicate keys keep the first record (first-write-wins,
 matching the coordinator's result accounting), so replaying a journal
 is idempotent.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord, decode_value, encode_value
@@ -106,9 +107,11 @@ class JournalStore(ResultStore):
             self._runs.append(RunRecord.from_dict(record["run"]))
         # Unknown record types are ignored: forward compatibility.
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        data = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        self._fh.write(data + b"\n")
+    def _append(self, *records: Dict[str, Any]) -> None:
+        """Write ``records`` as lines, then flush and fsync once."""
+        for record in records:
+            data = json.dumps(record, separators=(",", ":")).encode("utf-8")
+            self._fh.write(data + b"\n")
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -124,20 +127,28 @@ class JournalStore(ResultStore):
             return hit
 
     def put(self, key: Tuple, value: Any) -> None:
-        key = tuple(key)
+        self.put_many([(key, value)])
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        """Journal every new key of the batch with one flush and fsync."""
+        records = []
         with self._lock:
-            if key in self._results:
-                return  # already durable; keep the journal append-only
-            self._results[key] = value
-            self.puts += 1
-            record = {"type": "result", "key": list(key)}
-            envelope = encode_value(value)
-            if "result" in envelope:
-                record["result"] = envelope["result"]
-            else:
-                record["type"] = "value"
-                record["value"] = envelope["value"]
-            self._append(record)
+            for key, value in items:
+                key = tuple(key)
+                if key in self._results:
+                    continue  # already durable; keep the journal append-only
+                self._results[key] = value
+                self.puts += 1
+                record = {"type": "result", "key": list(key)}
+                envelope = encode_value(value)
+                if "result" in envelope:
+                    record["result"] = envelope["result"]
+                else:
+                    record["type"] = "value"
+                    record["value"] = envelope["value"]
+                records.append(record)
+            if records:
+                self._append(*records)
 
     def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
         prefix = tuple(prefix)

@@ -20,6 +20,11 @@ Layout (all values pure JSON -- no pickles on disk):
   ``BEGIN IMMEDIATE`` so exactly one writer wins a key, and a claimant
   that dies simply lets its claim expire.
 
+Batch forms cost one round trip each: :meth:`SqliteStore.get_many` is
+one ``SELECT ... IN``, and :meth:`~SqliteStore.claim_many` and
+:meth:`~SqliteStore.put_many` are one ``BEGIN IMMEDIATE`` transaction
+for the whole batch.
+
 Keys are stored as their canonical JSON-array text, so any tuple of
 JSON scalars works and prefix scans decode losslessly.  Connections
 use ``busy_timeout`` + WAL so concurrent writers queue instead of
@@ -34,7 +39,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord, decode_value, encode_value
@@ -86,6 +91,11 @@ _RUN_COLUMNS = (
 )
 
 
+#: Keys per ``IN (...)`` statement, well under SQLite's default limit
+#: of 999 bound parameters.
+_MAX_PARAMS = 500
+
+
 def _key_text(key: Tuple) -> str:
     return json.dumps(list(key), separators=(",", ":"), sort_keys=False)
 
@@ -118,50 +128,146 @@ class SqliteStore(ResultStore):
         )
         self._conn.isolation_level = None  # explicit transactions only
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute(
                 "PRAGMA synchronous=%s" % ("FULL" if fsync else "NORMAL")
             )
-            self._conn.execute("PRAGMA busy_timeout=30000")
-            self._conn.executescript(_SCHEMA)
+            # Two handles creating one file at once can deadlock on the
+            # switch to WAL or on the schema, and SQLite then reports
+            # "locked" at once instead of waiting: retry until the
+            # busy timeout would have expired.
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                    self._conn.executescript(_SCHEMA)
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or (
+                        time.monotonic() > deadline
+                    ):
+                        raise
+                    time.sleep(0.005)
 
     # -- keyed results -------------------------------------------------
+    # The single-key methods are one-key calls of the batch forms; they
+    # stay defined here (not inherited) so wrappers that patch this
+    # class's own attributes still find them.
     def get(self, key: Tuple) -> Optional[Any]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM results WHERE key = ?",
-                (_key_text(key),),
-            ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-        return decode_value(json.loads(row[0]))
+        return self.get_many([key])[0]
 
     def put(self, key: Tuple, value: Any) -> None:
-        blob = json.dumps(
-            encode_value(value), separators=(",", ":"), sort_keys=True
-        )
-        text = _key_text(key)
+        self.put_many([(key, value)])
+
+    def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:
+        return self.claim_many([key], ttl=ttl)[0]
+
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        texts = [_key_text(key) for key in keys]
         with self._lock:
-            # First write wins (like the journal); the claim, if any,
-            # is released in the same transaction so waiting claimants
-            # see key+result appear atomically.
+            found = self._select(
+                "SELECT key, value FROM results WHERE key IN (%s)", texts
+            )
+            hits = sum(1 for text in texts if text in found)
+            self.hits += hits
+            self.misses += len(texts) - hits
+        return [
+            decode_value(json.loads(found[text])) if text in found else None
+            for text in texts
+        ]
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        now = time.time()
+        rows = [
+            (
+                _key_text(key),
+                json.dumps(
+                    encode_value(value), separators=(",", ":"), sort_keys=True
+                ),
+                now,
+            )
+            for key, value in items
+        ]
+        if not rows:
+            return
+        with self._lock:
+            # First write wins (like the journal); the claims, if any,
+            # are released in the same transaction so waiting claimants
+            # see keys+results appear atomically.
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                self._conn.execute(
+                self._conn.executemany(
                     "INSERT OR IGNORE INTO results(key, value, created) "
                     "VALUES (?, ?, ?)",
-                    (text, blob, time.time()),
+                    rows,
                 )
-                self._conn.execute(
-                    "DELETE FROM claims WHERE key = ?", (text,)
+                self._conn.executemany(
+                    "DELETE FROM claims WHERE key = ?",
+                    [(text,) for text, _blob, _now in rows],
                 )
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
-            self.puts += 1
+            self.puts += len(rows)
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
+        ttl = self.claim_ttl if ttl is None else ttl
+        texts = [_key_text(key) for key in keys]
+        if not texts:
+            return []
+        now = time.time()
+        owner = (_hostname(), os.getpid())
+        with self._lock:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                # A stored result means some claimant already finished
+                # (its put deleted the claim row): refuse, so the
+                # caller's next get returns that value instead of
+                # recomputing it.  A live claim row refuses too.
+                busy = set(self._select(
+                    "SELECT key, 1 FROM results WHERE key IN (%s)", texts
+                ))
+                busy.update(
+                    text for text, ts in self._select(
+                        "SELECT key, ts FROM claims WHERE key IN (%s)", texts
+                    ).items()
+                    if now - ts < ttl
+                )
+                granted = []
+                for text in texts:
+                    granted.append(text not in busy)
+                    busy.add(text)  # a key repeated in the batch: once
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO claims(key, host, pid, ts) "
+                    "VALUES (?, ?, ?, ?)",
+                    [
+                        (text,) + owner + (now,)
+                        for text, ok in zip(texts, granted) if ok
+                    ],
+                )
+                self._conn.execute("COMMIT")
+                return granted
+            except BaseException:
+                self._conn.execute("ROLLBACK")
+                raise
+
+    def _select(self, sql: str, texts: Sequence[str]) -> Dict[str, Any]:
+        """``{key: column}`` for the rows of ``sql % placeholders``.
+
+        Runs in chunks so a large batch stays under SQLite's
+        bound-parameter limit.  Caller holds the lock.
+        """
+        out: Dict[str, Any] = {}
+        unique = list(dict.fromkeys(texts))
+        for lo in range(0, len(unique), _MAX_PARAMS):
+            chunk = unique[lo:lo + _MAX_PARAMS]
+            out.update(self._conn.execute(
+                sql % ", ".join("?" * len(chunk)), chunk
+            ).fetchall())
+        return out
 
     def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
         prefix = tuple(prefix)
@@ -173,37 +279,6 @@ class SqliteStore(ResultStore):
             key = tuple(json.loads(key_text))
             if key[: len(prefix)] == prefix:
                 yield key, decode_value(json.loads(blob))
-
-    def claim(self, key: Tuple, ttl: Optional[float] = None) -> bool:
-        ttl = self.claim_ttl if ttl is None else ttl
-        text = _key_text(key)
-        now = time.time()
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                # A stored result means some claimant already finished
-                # (its put deleted the claim row): refuse, so the
-                # caller's next get returns that value instead of
-                # recomputing it.
-                done = self._conn.execute(
-                    "SELECT 1 FROM results WHERE key = ?", (text,)
-                ).fetchone()
-                row = self._conn.execute(
-                    "SELECT ts FROM claims WHERE key = ?", (text,)
-                ).fetchone()
-                if done is not None or (row is not None and now - row[0] < ttl):
-                    self._conn.execute("COMMIT")
-                    return False
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO claims(key, host, pid, ts) "
-                    "VALUES (?, ?, ?, ?)",
-                    (text, _hostname(), os.getpid(), now),
-                )
-                self._conn.execute("COMMIT")
-                return True
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
 
     # -- epochs --------------------------------------------------------
     def record_epoch(

@@ -11,15 +11,17 @@ layers.  The canonical uses:
 Lookups try layers in order; a hit at any layer is backfilled into
 every *other* layer, so all layers converge on everything any of them
 knows (the journal-vs-memory bidirectional backfill from PR 6, now for
-any stack).  Writes, epoch records, and audit records go to every
-layer.  Duck-typed layers with only ``get``/``put`` (the test spies)
-still work: optional protocol methods are forwarded only where
-present.
+any stack).  Batched lookups do the same a layer at a time: each
+layer sees one ``get_many`` of the keys still missing.  Writes (single
+or batched), epoch records, and audit records go to every layer;
+claims go to the one shareable layer.
+Duck-typed layers with only ``get``/``put`` (the test spies) still
+work: optional protocol methods are forwarded only where present.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..verify.exhaustive import SweepEpoch
 from .base import ResultStore, RunRecord
@@ -78,6 +80,46 @@ class StackedStore(ResultStore):
         for layer in self.layers:
             layer.put(key, value)
 
+    def get_many(self, keys: Sequence[Tuple]) -> List[Optional[Any]]:
+        # Like get, a layer at a time: each layer sees one batch of the
+        # keys still missing, and the hits are backfilled in one batch
+        # per other layer.
+        keys = list(keys)
+        out: List[Optional[Any]] = [None] * len(keys)
+        found_at: List[Optional[int]] = [None] * len(keys)
+        missing = list(range(len(keys)))
+        for i, layer in enumerate(self.layers):
+            if not missing:
+                break
+            wanted = [keys[k] for k in missing]
+            if hasattr(layer, "get_many"):
+                values = layer.get_many(wanted)
+            else:
+                values = [layer.get(key) for key in wanted]
+            still = []
+            for k, value in zip(missing, values):
+                if value is None:
+                    still.append(k)
+                else:
+                    out[k] = value
+                    found_at[k] = i
+            missing = still
+        for j, other in enumerate(self.layers):
+            _put_into(other, [
+                (keys[k], out[k])
+                for k, i in enumerate(found_at)
+                if i is not None and i != j
+            ])
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        return out
+
+    def put_many(self, items: Sequence[Tuple[Tuple, Any]]) -> None:
+        items = list(items)
+        self.puts += len(items)
+        for layer in self.layers:
+            _put_into(layer, items)
+
     def scan(self, prefix: Tuple = ()) -> Iterator[Tuple[Tuple, Any]]:
         seen = set()
         for layer in self.layers:
@@ -95,6 +137,14 @@ class StackedStore(ResultStore):
             if getattr(layer, "shareable", False):
                 return layer.claim(key, ttl=ttl)
         return True
+
+    def claim_many(
+        self, keys: Sequence[Tuple], ttl: Optional[float] = None
+    ) -> List[bool]:
+        for layer in self.layers:
+            if getattr(layer, "shareable", False):
+                return layer.claim_many(keys, ttl=ttl)
+        return [True] * len(keys)
 
     # -- epochs / audit ------------------------------------------------
     def record_epoch(
@@ -139,3 +189,14 @@ class StackedStore(ResultStore):
 
     def close(self) -> None:
         pass  # layers are owned by their creators
+
+
+def _put_into(layer: Any, items: List[Tuple[Tuple, Any]]) -> None:
+    """Write ``items`` to one layer, batched where the layer batches."""
+    if not items:
+        return
+    if hasattr(layer, "put_many"):
+        layer.put_many(items)
+    else:
+        for key, value in items:
+            layer.put(key, value)

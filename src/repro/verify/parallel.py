@@ -58,8 +58,8 @@ from ..backends import (
 )
 from ..circuits.compiled import BackendLike, compile_circuit
 from ..circuits.netlist import Circuit
-from ..store import shared_store
-from ..store.base import RunRecord, result_digest, wait_for
+from ..store import StackedStore, release_shared_store, shared_store
+from ..store.base import ResultStore, RunRecord, result_digest, wait_for_many
 from .exhaustive import (
     _MAX_SHARD_LANES,
     SweepEpoch,
@@ -405,12 +405,26 @@ def _init_verify_worker(
     # process default) and `store_spec` as a store spec string (or None
     # when the sweep's store is not shareable) so the initargs stay
     # picklable for pool *and remote* workers.
+    _release_worker_store()  # a re-run initializer replaces the state
     _VERIFY_STATE.program = compile_circuit(circuit, get_backend(backend))
     _VERIFY_STATE.circuit = circuit
     _VERIFY_STATE.backend = backend
     _VERIFY_STATE.backend_name = get_backend(backend).name
     _VERIFY_STATE.region_programs = {}
+    _VERIFY_STATE.store_spec = store_spec
     _VERIFY_STATE.store = shared_store(store_spec) if store_spec else None
+
+
+def _release_worker_store() -> None:
+    """Drop this thread's worker-state store handle, if it holds one.
+
+    Pool workers hold theirs until the process exits; a sweep whose
+    initializer ran in the calling thread (the serial executor) calls
+    this when the sweep ends, so no handle outlives it.
+    """
+    if getattr(_VERIFY_STATE, "store", None) is not None:
+        _VERIFY_STATE.store = None
+        release_shared_store(_VERIFY_STATE.store_spec)
 
 
 def _verify_shard_worker(task: Tuple[int, int, int]) -> VerificationResult:
@@ -436,46 +450,79 @@ def _region_key(
     )
 
 
-def _execute_region_shard(task: Tuple[int, int, int, int]) -> Dict[str, int]:
-    """Compute one region shard from per-worker state (no store consult).
+#: A region task: ``(width, outputs, g_lo, g_hi)`` -- the ascending
+#: output-cone indices one g-row range still needs.
+RegionTask = Tuple[int, Sequence[int], int, int]
+
+
+def _execute_region_shard(task: RegionTask) -> List[Dict[str, int]]:
+    """Compute one range's cones from per-worker state (no store consult).
+
+    Returns one ``{"lanes", "mismatches"}`` value per cone in
+    ``outputs``, in that order.  When those cones together hold at
+    least as many gates as the whole circuit, one full-program shard is
+    cheaper than the cone programs: if it finds no mismatch, no cone
+    mismatches either (each cone computes the same output function as
+    the full circuit), so every cone gets exactly what its own program
+    would return.  Any mismatch falls back to the cone programs, so
+    stored per-cone counts stay exact.
 
     Module-level (not a closure) so tests can monkeypatch it to count
     actual executions -- the seam that pins "a warm store re-executes
     nothing" and "an edit re-executes only the affected cones".
     """
-    width, output_index, g_lo, g_hi = task
+    width, outputs, g_lo, g_hi = task
     state = _VERIFY_STATE
-    program = state.region_programs.get(output_index)
-    if program is None:
-        program = state.region_programs[output_index] = compile_circuit(
-            state.circuit.extract_cone(output_index),
-            get_backend(state.backend),
+    sizes = state.circuit.cone_sizes()
+    if sum(sizes[o] for o in outputs) >= len(state.circuit.gates):
+        full = verify_two_sort_shard(state.program, width, g_lo, g_hi)
+        if full.failure_count == 0:
+            return [
+                {"lanes": full.checked, "mismatches": 0} for _o in outputs
+            ]
+    values = []
+    for o in outputs:
+        program = state.region_programs.get(o)
+        if program is None:
+            program = state.region_programs[o] = compile_circuit(
+                state.circuit.extract_cone(o), get_backend(state.backend)
+            )
+        values.append(
+            verify_two_sort_region_shard(program, width, o, g_lo, g_hi)
         )
-    return verify_two_sort_region_shard(
-        program, width, output_index, g_lo, g_hi
-    )
+    return values
 
 
-def _verify_region_worker(task: Tuple[int, int, int, int]) -> Dict[str, int]:
+def _verify_region_worker(task: RegionTask) -> List[Dict[str, int]]:
     """Worker for region tasks: consult the shared store, then compute.
 
     When the sweep's store is shareable its spec rides the pool
-    initargs, and each worker holds its own handle: a get-hit skips the
-    execution entirely, and :func:`repro.store.base.wait_for` claims
-    the key first so two processes sweeping the same circuit against
-    one store never double-execute a region shard.
+    initargs, and each worker holds its own handle: the range's cone
+    keys are read in one batch and only the misses execute.
+    :func:`repro.store.base.wait_for_many` claims those keys first, so
+    two processes sweeping the same circuit against one store never
+    double-execute a cone of a range.
     """
     state = _VERIFY_STATE
     store = getattr(state, "store", None)
     if store is None:
         return _execute_region_shard(task)
-    width, output_index, g_lo, g_hi = task
-    key = _region_key(
-        state.circuit.name,
-        state.circuit.region_hashes()[output_index],
-        state.backend_name, width, output_index, g_lo, g_hi,
+    width, outputs, g_lo, g_hi = task
+    hashes = state.circuit.region_hashes()
+    cone = {
+        _region_key(
+            state.circuit.name, hashes[o], state.backend_name, width,
+            o, g_lo, g_hi,
+        ): o
+        for o in outputs
+    }
+    return wait_for_many(
+        store,
+        list(cone),
+        lambda claimed: _execute_region_shard(
+            (width, tuple(cone[key] for key in claimed), g_lo, g_hi)
+        ),
     )
-    return wait_for(store, key, lambda: _execute_region_shard(task))
 
 
 def _default_pair_shard_size(
@@ -566,15 +613,21 @@ def verify_two_sort_sharded(
     * ``store`` is a :class:`repro.store.base.ResultStore`: same role
       as ``cache`` (either name works; ``store`` wins when both are
       given) but it flips the sweep into **region granularity** --
-      every primary-output cone is verified independently per g-row
-      range, keyed on the cone's *region* digest
+      every primary-output cone has its own result per g-row range,
+      keyed on the cone's *region* digest
       (:meth:`Circuit.region_hashes`) instead of the whole-circuit
-      hash.  A one-gate edit then re-executes only the shards of the
-      cones it touched; untouched cones hit the store.  ``regions``
-      overrides the granularity explicitly (``store`` alone implies
-      ``True``).  Shareable stores (sqlite) additionally ship their
-      spec to workers, which consult the store *before executing* --
-      the no-double-execute mechanism across processes and hosts.
+      hash.  A one-gate edit then re-executes only the cones it
+      touched; untouched cones hit the store.  Work stays per range:
+      each range with missing cones is one task, which settles them
+      all with one full-circuit pass when they cost at least the whole
+      circuit (a clean pass clears every cone) and runs the cone
+      programs only for partial misses or after a mismatching pass.
+      The store is read and written in one batch per range.
+      ``regions`` overrides the granularity explicitly (``store``
+      alone implies ``True``).  Shareable stores (sqlite) additionally
+      ship their spec to workers, which consult the store (get, then
+      claim the misses) *before executing* -- the no-double-execute
+      mechanism across processes and hosts.
       Clean ranges merge into the report as synthetic all-clear counts;
       a range whose cone mismatches is re-verified at circuit
       granularity through the canonical
@@ -757,36 +810,45 @@ def _run_region_sweep(
 ) -> VerificationResult:
     """Region-granularity sweep: one key per output cone per g-range.
 
-    Every primary-output cone is verified independently over every
-    g-row range; the store is consulted per ``(cone, range)`` so an
-    edit only misses on the cones whose region digest changed.  Clean
-    ranges (every cone matches everywhere) merge as synthetic all-clear
-    counts; a range with any cone mismatch is re-verified through the
-    canonical full-circuit shard (cached at circuit granularity), so
-    failure messages -- and therefore the merged report -- stay
-    byte-identical to an uncached sweep.
+    Every primary-output cone has its own store key per g-row range, so
+    an edit only misses on the cones whose region digest changed.  The
+    store is consulted per range -- one :meth:`get_many` over the
+    range's cone keys -- and each range with any miss becomes one task
+    carrying all of its missing cones (:func:`_execute_region_shard`
+    runs them as one full-circuit pass, or as cone programs when only a
+    few cones miss); its values are stored with one :meth:`put_many`.
+    Clean ranges (every cone matches everywhere) merge as synthetic
+    all-clear counts; a range with any cone mismatch is re-verified
+    through the canonical full-circuit shard (cached at circuit
+    granularity), so failure messages -- and therefore the merged
+    report -- stay byte-identical to an uncached sweep.
     """
     total = len(shards)
     region_hashes = circuit.region_hashes()
     n_out = len(region_hashes)
     S = (1 << (width + 1)) - 1
+    if store is not None and not isinstance(store, ResultStore):
+        # A duck-typed get/put cache gains the batch forms from a
+        # one-layer stack.
+        store = StackedStore(store)
 
-    region_results: List[List[Optional[Dict[str, int]]]] = [
-        [None] * n_out for _ in range(total)
-    ]
-    pending: List[Tuple[int, int]] = []
-    for i in range(total):
-        g_lo, g_hi = shards[i]
-        for o in range(n_out):
-            key = _region_key(
+    keys = [
+        [
+            _region_key(
                 circuit.name, region_hashes[o], backend_name, width,
                 o, g_lo, g_hi,
             )
-            hit = store.get(key) if store is not None else None
-            if hit is not None:
-                region_results[i][o] = hit
-            else:
-                pending.append((i, o))
+            for o in range(n_out)
+        ]
+        for g_lo, g_hi in shards
+    ]
+    region_results: List[List[Optional[Dict[str, int]]]] = [
+        store.get_many(row) if store is not None else [None] * n_out
+        for row in keys
+    ]
+    pending = [
+        i for i in range(total) if any(v is None for v in region_results[i])
+    ]
 
     full_program = None
 
@@ -825,50 +887,48 @@ def _run_region_sweep(
             on_shard(done, total, results[i])
 
     if pending:
-        remaining: Dict[int, int] = {}
-        for i, _o in pending:
-            remaining[i] = remaining.get(i, 0) + 1
-        share = (
-            store.share_spec()
-            if store is not None and hasattr(store, "share_spec")
-            else None
-        )
-        tasks = [(width, o) + shards[i] for i, o in pending]
+        share = store.share_spec() if store is not None else None
+        tasks = [
+            (
+                width,
+                tuple(o for o in range(n_out) if region_results[i][o] is None),
+            ) + shards[i]
+            for i in pending
+        ]
 
-        def _record(k: int, value: Dict[str, int]) -> None:
+        def _record(k: int, values: List[Dict[str, int]]) -> None:
             nonlocal done
-            i, o = pending[k]
-            region_results[i][o] = value
+            i = pending[k]
+            outputs = tasks[k][1]
+            for o, value in zip(outputs, values):
+                region_results[i][o] = value
             if store is not None:
-                g_lo, g_hi = shards[i]
                 # Idempotent for workers that already wrote through a
                 # shared handle (first write wins everywhere); local
-                # (non-shareable) stores learn the value here.
-                store.put(
-                    _region_key(
-                        circuit.name, region_hashes[o], backend_name,
-                        width, o, g_lo, g_hi,
-                    ),
-                    value,
-                )
-            remaining[i] -= 1
-            if remaining[i] == 0:
-                # Tasks are range-major and executors are ordered, so
-                # ranges complete ascending -- `done` stays monotonic.
-                results[i] = _resolve(i)
-                done += 1
-                if on_shard is not None:
-                    on_shard(done, total, results[i])
+                # (non-shareable) stores learn the values here.
+                store.put_many([
+                    (keys[i][o], value) for o, value in zip(outputs, values)
+                ])
+            # Tasks are range-ordered and executors are ordered, so
+            # ranges complete ascending -- `done` stays monotonic.
+            results[i] = _resolve(i)
+            done += 1
+            if on_shard is not None:
+                on_shard(done, total, results[i])
 
-        run_sharded(
-            _verify_region_worker,
-            tasks,
-            jobs=jobs,
-            executor=executor,
-            initializer=_init_verify_worker,
-            initargs=(circuit, backend, share),
-            on_result=_record,
-            should_stop=should_stop,
-            epoch=epoch,
-        )
+        try:
+            run_sharded(
+                _verify_region_worker,
+                tasks,
+                jobs=jobs,
+                executor=executor,
+                initializer=_init_verify_worker,
+                initargs=(circuit, backend, share),
+                on_result=_record,
+                should_stop=should_stop,
+                epoch=epoch,
+            )
+        finally:
+            # The serial executor ran the initializer in this thread.
+            _release_worker_store()
     return VerificationResult.merge(results)

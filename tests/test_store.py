@@ -12,14 +12,18 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
+import repro.store
 from repro.__main__ import main
+from repro.circuits.compiled import compile_circuit
 from repro.circuits.gates import INV
 from repro.core.two_sort import build_two_sort
 from repro.store import MemoryStore, StackedStore, open_store, result_digest
-from repro.store.base import RunRecord, wait_for
+from repro.store import journal as journal_module
+from repro.store.base import RunRecord, wait_for, wait_for_many
 from repro.store.journal import JournalStore
 from repro.store.sqlite_store import SqliteStore
 from repro.verify import parallel
@@ -28,6 +32,7 @@ from repro.verify.exhaustive import (
     VerificationResult,
     pair_shards,
     verify_two_sort_circuit,
+    verify_two_sort_region_shard,
 )
 from repro.verify.parallel import verify_two_sort_sharded
 
@@ -216,6 +221,170 @@ class TestPersistence:
             assert len(calls) == 1
 
 
+V1 = {"lanes": 1, "mismatches": 0}
+V2 = {"lanes": 2, "mismatches": 0}
+V3 = {"lanes": 3, "mismatches": 0}
+
+
+class TestBatchApi:
+    """get_many / put_many / claim_many / wait_for_many on every backend."""
+
+    @pytest.fixture(params=["memory", "journal", "sqlite", "stacked"])
+    def store(self, request, tmp_path):
+        if request.param == "memory":
+            yield MemoryStore()
+        elif request.param == "journal":
+            with JournalStore(str(tmp_path / "s.jsonl"), fsync=False) as s:
+                yield s
+        elif request.param == "sqlite":
+            with SqliteStore(str(tmp_path / "s.db")) as s:
+                yield s
+        else:
+            with SqliteStore(str(tmp_path / "s.db")) as db:
+                yield StackedStore(db, MemoryStore())
+
+    def test_counters_count_per_key(self, store):
+        store.put(("a",), V1)
+        base = store.counters()
+        got = store.get_many([("a",), ("b",), ("c",)])
+        assert got == [V1, None, None]
+        store.put_many([(("b",), V2), (("c",), V3)])
+        assert store.get_many([("c",), ("b",)]) == [V3, V2]
+        after = store.counters()
+        assert after["hits"] - base["hits"] == 3
+        assert after["misses"] - base["misses"] == 2
+        assert after["puts"] - base["puts"] == 2
+        assert store.get_many([]) == [] and store.claim_many([]) == []
+
+    def test_first_write_wins(self, store):
+        store.put_many([(("k",), V1), (("j",), V1)])
+        store.put_many([(("k",), V2)])
+        # The memory backend is an LRU cache (re-put replaces); every
+        # durable backend, and a stack fronted by one, keeps the first.
+        want = V2 if store.backend_name == "memory" else V1
+        assert store.get_many([("k",), ("j",)]) == [want, V1]
+
+    def test_wait_for_many_computes_only_misses(self, store):
+        store.put(("a",), V1)
+        calls = []
+
+        def execute(claimed):
+            calls.append(list(claimed))
+            return [V3 for _key in claimed]
+
+        got = wait_for_many(store, [("a",), ("b",), ("c",)], execute)
+        assert got == [V1, V3, V3]
+        assert calls == [[("b",), ("c",)]]
+        assert store.get_many([("b",), ("c",)]) == [V3, V3]
+
+    @pytest.mark.parametrize("sqlite_first", [True, False])
+    def test_stacked_get_many_is_one_select_per_layer(
+        self, tmp_path, sqlite_first
+    ):
+        with SqliteStore(str(tmp_path / "s.db")) as db:
+            db.put_many([(("a",), V1), (("b",), V2)])
+            memory = MemoryStore()
+            memory.put(("m",), V3)
+            stack = StackedStore(
+                *((db, memory) if sqlite_first else (memory, db))
+            )
+            statements = []
+            db._conn.set_trace_callback(statements.append)
+            keys = [("a",), ("m",), ("b",), ("x",)]
+            assert stack.get_many(keys) == [V1, V3, V2, None]
+            db._conn.set_trace_callback(None)
+            selects = [s for s in statements if s.startswith("SELECT")]
+            assert len(selects) == 1
+            # Every hit is backfilled into the layers that lacked it.
+            assert memory.get_many([("a",), ("b",)]) == [V1, V2]
+            assert db.get(("m",)) == V3
+            assert (stack.hits, stack.misses) == (3, 1)
+
+    def test_stacked_get_many_on_duck_typed_layers(self):
+        class Spy:
+            def __init__(self, data):
+                self.data = dict(data)
+
+            def get(self, key):
+                return self.data.get(key)
+
+            def put(self, key, value):
+                self.data[key] = value
+
+        front, back = Spy({("a",): V1}), Spy({("b",): V2})
+        stack = StackedStore(front, back)
+        assert stack.get_many([("a",), ("b",), ("c",)]) == [V1, V2, None]
+        assert front.data == back.data == {("a",): V1, ("b",): V2}
+
+
+class TestBatchClaims:
+    """Claim arbitration through two handles on one sqlite file."""
+
+    @pytest.fixture(params=["sqlite", "stacked"])
+    def handles(self, request, tmp_path):
+        path = str(tmp_path / "c.db")
+        with SqliteStore(path) as a, SqliteStore(path) as b:
+            if request.param == "stacked":
+                yield StackedStore(a, MemoryStore()), b
+            else:
+                yield a, b
+
+    def test_claim_many_refuses_stored_and_live_keys(self, handles):
+        a, b = handles
+        a.put(("stored",), V1)
+        assert a.claim_many([("live",)]) == [True]
+        assert b.claim_many([("stored",), ("live",), ("free",)]) == [
+            False, False, True,
+        ]
+        # An expired claim is reclaimable; a stored key never is.
+        assert b.claim_many([("live",), ("stored",)], ttl=0.0) == [
+            True, False,
+        ]
+
+    def test_put_many_releases_its_claims(self, handles):
+        a, b = handles
+        assert a.claim_many([("x",), ("y",), ("z",)]) == [True] * 3
+        a.put_many([(("x",), V1), (("y",), V2)])
+        assert b.stats()["claims"] == 1  # only z is still claimed
+        assert b.claim_many([("x",), ("y",), ("z",)]) == [False] * 3
+        assert b.get_many([("x",), ("y",), ("z",)]) == [V1, V2, None]
+
+    def test_wait_for_many_takes_the_other_handles_value(self, handles):
+        a, b = handles
+        a.put(("done",), V1)
+        assert a.claim_many([("theirs",)]) == [True]
+        calls = []
+
+        def execute(claimed):
+            calls.append(list(claimed))
+            # The other claimant finishes while this one computes.
+            a.put(("theirs",), V2)
+            return [V3 for _key in claimed]
+
+        got = wait_for_many(
+            b, [("done",), ("theirs",), ("mine",)], execute, poll=0.001
+        )
+        assert got == [V1, V2, V3]
+        assert calls == [[("mine",)]]
+
+
+class TestJournalBatchFsync:
+    def test_put_many_fsyncs_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(
+            journal_module.os, "fsync", lambda fd: (calls.append(fd), real(fd))
+        )
+        path = str(tmp_path / "f.jsonl")
+        with JournalStore(path) as store:
+            store.put_many([((i,), V1) for i in range(5)])
+            assert len(calls) == 1
+            store.put_many([((i,), V2) for i in range(5)])  # all present
+            assert len(calls) == 1
+        with JournalStore(path) as store:
+            assert len(store) == 5 and store.get((4,)) == V1
+
+
 class TestStacked:
     def test_backfill_and_write_through(self, tmp_path):
         front = MemoryStore()
@@ -304,14 +473,20 @@ class TestRegionHashing:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def count_executions(monkeypatch):
-    """Count actual region-shard computations through the module seam."""
+    """Count actual region-shard computations through the module seam.
+
+    One ``(width, cone, g_lo, g_hi)`` entry per cone executed: a region
+    task carries every missing cone of its g-row range.
+    """
     executed = []
     real = parallel._execute_region_shard
-    monkeypatch.setattr(
-        parallel,
-        "_execute_region_shard",
-        lambda task: (executed.append(task), real(task))[1],
-    )
+
+    def counting(task):
+        width, outputs, g_lo, g_hi = task
+        executed.extend((width, o, g_lo, g_hi) for o in outputs)
+        return real(task)
+
+    monkeypatch.setattr(parallel, "_execute_region_shard", counting)
     return executed
 
 
@@ -413,6 +588,30 @@ class TestRegionSweep:
             )
         assert r1.to_json() == r2.to_json() == plain.to_json()
 
+    def test_duck_typed_cache_in_region_mode(self, count_executions):
+        """A plain get/put object still works as a region-mode cache."""
+        circuit = build_two_sort(4)
+        plain = verify_two_sort_sharded(circuit, 4, jobs=1)
+
+        class DictCache:
+            def __init__(self):
+                self.data = {}
+
+            def get(self, key):
+                return self.data.get(key)
+
+            def put(self, key, value):
+                self.data.setdefault(key, value)
+
+        cache = DictCache()
+        for _ in range(2):
+            got = verify_two_sort_sharded(
+                circuit, 4, jobs=1, cache=cache, regions=True
+            )
+            assert got.to_json() == plain.to_json()
+        assert len(count_executions) == len(cache.data)
+        assert all(key[4] == "r" for key in cache.data)
+
     def test_journal_backend_region_sweep(self, tmp_path, count_executions):
         circuit = build_two_sort(4)
         plain = verify_two_sort_sharded(circuit, 4, jobs=1)
@@ -424,6 +623,175 @@ class TestRegionSweep:
             r2 = verify_two_sort_sharded(circuit, 4, jobs=1, store=store)
         assert r1.to_json() == r2.to_json() == plain.to_json()
         assert len(count_executions) == 0
+
+
+class TestFullPassRegions:
+    """A range task runs one full-circuit pass when its missing cones
+    cost at least the whole circuit, and falls back to cone programs
+    for exact per-cone counts when that pass finds a mismatch."""
+
+    @pytest.fixture
+    def count_region_shards(self, monkeypatch):
+        calls = []
+        real = parallel.verify_two_sort_region_shard
+
+        def counting(program, width, output_index, g_lo, g_hi):
+            calls.append(output_index)
+            return real(program, width, output_index, g_lo, g_hi)
+
+        monkeypatch.setattr(
+            parallel, "verify_two_sort_region_shard", counting
+        )
+        return calls
+
+    def test_cold_clean_sweep_runs_no_cone_program(
+        self, tmp_path, count_region_shards
+    ):
+        circuit = build_two_sort(6)
+        assert sum(circuit.cone_sizes()) >= len(circuit.gates)
+        plain = verify_two_sort_sharded(circuit, 6, jobs=1)
+        with SqliteStore(str(tmp_path / "c.db")) as store:
+            cold = verify_two_sort_sharded(circuit, 6, jobs=1, store=store)
+            assert cold.to_json() == plain.to_json()
+            assert count_region_shards == []
+            # A one-cone edit misses one small cone per range: cone
+            # programs, not the full circuit.
+            ranges = len(pair_shards(
+                6, parallel._default_pair_shard_size(6, 1)
+            ))
+            edited = verify_two_sort_sharded(
+                make_edit(circuit, 3), 6, jobs=1, store=store
+            )
+            assert edited.to_json() == plain.to_json()
+            assert count_region_shards == [3] * ranges
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("backend", ["sqlite", "memory"])
+    def test_broken_circuit_falls_back_to_exact_cone_counts(
+        self, tmp_path, backend, jobs
+    ):
+        width = 5
+        bad = make_broken(build_two_sort(width), 2)
+        assert sum(bad.cone_sizes()) >= len(bad.gates)  # full pass first
+        want = verify_two_sort_circuit(bad, width)
+        assert not want.ok
+        store = (
+            SqliteStore(str(tmp_path / "b.db")) if backend == "sqlite"
+            else MemoryStore()
+        )
+        with store:
+            got = verify_two_sort_sharded(
+                bad, width, jobs=jobs, shard_size=63 * 8, store=store
+            )
+            assert got.to_json() == want.to_json()
+            region = [
+                (key, value) for key, value in store.scan((bad.name,))
+                if key[4] == "r"
+            ]
+        assert len(region) == 8 * 2 * width
+        programs = {}
+        mismatching = set()
+        for key, value in region:
+            o, g_lo, g_hi = key[5:]
+            if o not in programs:
+                programs[o] = compile_circuit(bad.extract_cone(o))
+            assert value == verify_two_sort_region_shard(
+                programs[o], width, o, g_lo, g_hi
+            )
+            if value["mismatches"]:
+                mismatching.add(o)
+        assert mismatching == {2}
+
+
+class TestSharedHandles:
+    """Worker-side shared handles never outlive the sweeps using them."""
+
+    @staticmethod
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_handles_and_fds_stay_flat_across_sweeps(self, tmp_path):
+        circuit = build_two_sort(4)
+        plain = verify_two_sort_sharded(circuit, 4, jobs=1).to_json()
+        counts = []
+        for n in range(20):
+            with SqliteStore(str(tmp_path / f"s{n}.db")) as store:
+                got = verify_two_sort_sharded(circuit, 4, jobs=1, store=store)
+                assert got.to_json() == plain
+            assert repro.store._SHARED == {}
+            counts.append(self.open_fds())
+        assert counts[-1] <= counts[0], counts
+
+    def test_two_threads_share_one_spec(self, tmp_path):
+        circuit = build_two_sort(5)
+        plain = verify_two_sort_sharded(circuit, 5, jobs=1).to_json()
+        path = str(tmp_path / "t.db")
+        barrier = threading.Barrier(2)
+        reports, errors = [], []
+
+        def sweep():
+            try:
+                with SqliteStore(path) as store:
+                    barrier.wait(timeout=10)
+                    reports.append(verify_two_sort_sharded(
+                        circuit, 5, jobs=1, shard_size=63 * 4, store=store
+                    ).to_json())
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sweep) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors, errors
+        assert reports == [plain, plain]
+        assert repro.store._SHARED == {}
+        with SqliteStore(path) as store:
+            assert len(store) == 16 * 10 and len(store.runs()) == 2
+
+    def test_open_runs_outside_the_lock(self, monkeypatch):
+        # Two threads open one spec at once: neither open holds the
+        # registry lock, both end up on the first handle, and the
+        # second opened handle is closed at once.
+        opening = threading.Barrier(2)
+        opened = []
+
+        class Handle(MemoryStore):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        def slow_open(spec):
+            assert not repro.store._SHARED_LOCK.locked()
+            opening.wait(timeout=10)
+            store = Handle()
+            opened.append(store)
+            return store
+
+        monkeypatch.setattr(repro.store, "open_store", slow_open)
+        got = []
+        threads = [
+            threading.Thread(
+                target=lambda: got.append(repro.store.shared_store("s"))
+            )
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert len(opened) == 2 and got[0] is got[1]
+        assert repro.store._SHARED[(os.getpid(), "s")] == [got[0], 2]
+        assert [h.closed for h in opened] == [h is not got[0] for h in opened]
+        repro.store.release_shared_store("s")
+        assert not got[0].closed
+        repro.store.release_shared_store("s")
+        assert repro.store._SHARED == {} and got[0].closed
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +810,7 @@ _SWEEP_SCRIPT = textwrap.dedent(
     real = parallel._execute_region_shard
     def counting(task):
         with open(counter_path, "a") as fh:
-            fh.write("x\\n")
+            fh.write("x\\n" * len(task[1]))  # one line per cone executed
         return real(task)
     parallel._execute_region_shard = counting
 
