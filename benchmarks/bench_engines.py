@@ -549,7 +549,7 @@ def bench_fault_tolerance(width: int) -> dict:
     """Cost of durability and the payoff of shard-range leases.
 
     * ``checkpoint``: the identical serial sweep bare, journaling every
-      shard through :class:`SweepCheckpoint` (fsync per record), and
+      shard through :class:`JournalStore` (fsync per record), and
       then resumed from the finished journal.  The resume executes zero
       shards -- its wall clock is pure journal replay plus merge -- and
       must still produce a bit-identical report.
@@ -563,7 +563,7 @@ def bench_fault_tolerance(width: int) -> dict:
     import threading
 
     from repro.distributed import ShardCoordinator, ShardWorker, use_coordinator
-    from repro.distributed.checkpoint import SweepCheckpoint
+    from repro.store.journal import JournalStore
     from repro.verify.parallel import _default_pair_shard_size
 
     circuit = build_two_sort(width)
@@ -580,7 +580,7 @@ def bench_fault_tolerance(width: int) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         journal_path = os.path.join(tmp, "bench.jsonl")
-        with SweepCheckpoint(journal_path) as journal:
+        with JournalStore(journal_path) as journal:
             t0 = time.perf_counter()
             checkpointed = verify_two_sort_sharded(
                 circuit, width, jobs=1, shard_size=shard_size,
@@ -590,7 +590,7 @@ def bench_fault_tolerance(width: int) -> dict:
             shards = len(journal)
         assert checkpointed.to_json() == baseline.to_json()
 
-        with SweepCheckpoint(journal_path) as journal:
+        with JournalStore(journal_path) as journal:
             t0 = time.perf_counter()
             resumed = verify_two_sort_sharded(
                 circuit, width, jobs=1, shard_size=shard_size,

@@ -195,9 +195,10 @@ def _check_checkpoint_args(args, *, local: bool = True) -> int:
     ):
         print(
             "error: --store and --checkpoint/--resume are mutually "
-            "exclusive (a checkpoint *is* the journal store; pass "
-            "--store journal:PATH for the same file, or --store "
-            "sqlite:PATH for the shared backend)",
+            "exclusive (a checkpoint keys whole-circuit shards and a "
+            "store keys output cones, so --store journal:PATH on a "
+            "checkpoint file re-runs the whole sweep; only --checkpoint "
+            "or --resume resume a checkpoint journal)",
             file=sys.stderr,
         )
         return 2
@@ -323,9 +324,9 @@ def _cmd_verify(args) -> int:
     if request.checkpoint and os.path.exists(request.checkpoint):
         # Tell the operator how much of the sweep is already on file --
         # the resume story is useless if it runs silently.
-        from .distributed.checkpoint import SweepCheckpoint
+        from .store.journal import JournalStore
 
-        with SweepCheckpoint(request.checkpoint, fsync=False) as peek:
+        with JournalStore(request.checkpoint, fsync=False) as peek:
             on_file = len(peek)
         print(
             f"checkpoint {request.checkpoint}: {on_file} shard "

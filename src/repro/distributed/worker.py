@@ -266,6 +266,7 @@ class ShardWorker:
                         break
         finally:
             self._drain_pools()
+            self._release_inline_epoch()
         return self.completed
 
     def _backoff_wait(
@@ -657,6 +658,21 @@ class ShardWorker:
                 epoch.pool.terminate()
                 epoch.pool.join()
                 epoch.pool = None
+
+    def _release_inline_epoch(self) -> None:
+        """Release what the inline path's last initializer acquired.
+
+        At ``jobs=1`` epoch initializers run on this thread, and the
+        verify initializer opens a shared store handle in thread-local
+        worker state (:func:`repro.verify.parallel._init_verify_worker`);
+        pool children release theirs when the pool is drained.
+        """
+        if self._active_key is None:
+            return
+        from ..verify.parallel import _release_worker_store
+
+        _release_worker_store()
+        self._active_key = None
 
     def _heartbeat_loop(self, channel, interval: float, stop) -> None:
         while not stop.wait(interval):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -35,12 +34,10 @@ from .core.two_sort import build_two_sort
 from .graycode.valid import validate
 from .networks.simulate import ENGINES, sort_words_batch
 from .networks.topologies import best_known
+from .store import ResultStore, StackedStore, open_store
 from .ternary.word import Word
 from .verify.exhaustive import VerificationResult
 from .verify.parallel import available_executors, verify_two_sort_sharded
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .service.cache import ShardCache
 
 __all__ = [
     "DEFAULT_HOST",
@@ -98,10 +95,11 @@ class VerifyRequest:
     same semantics (``jobs=0`` means one worker per core), same result.
 
     ``checkpoint`` names a durable shard journal
-    (:class:`repro.distributed.checkpoint.SweepCheckpoint`) on the
-    *executing* host: shards already journaled there are skipped, fresh
-    ones are appended as they complete, so a killed job resubmitted
-    with the same checkpoint resumes instead of restarting.
+    (:class:`repro.store.journal.JournalStore`) on the *executing*
+    host, keyed per whole-circuit shard: shards already journaled there
+    are skipped, fresh ones are appended as they complete, so a killed
+    job resubmitted with the same checkpoint resumes instead of
+    restarting.
 
     ``store`` names a unified result store (a
     :func:`repro.store.open_store` spec, e.g. ``sqlite:results.db``) on
@@ -109,7 +107,9 @@ class VerifyRequest:
     output-cone *region*, so re-verifying after a circuit edit only
     executes the shards of the cones the edit touched, and every
     completed sweep appends an audit record.  Mutually exclusive with
-    ``checkpoint`` (the journal alias of the same machinery).
+    ``checkpoint``: the two key granularities never hit each other, so
+    a checkpoint journal opened as ``store="journal:PATH"`` re-runs the
+    whole sweep; only ``checkpoint`` resumes it.
     """
 
     width: int
@@ -141,8 +141,10 @@ class VerifyRequest:
             raise ValueError("store must be a non-empty store spec")
         if self.store is not None and self.checkpoint is not None:
             raise ValueError(
-                "checkpoint and store are mutually exclusive "
-                "(a checkpoint is the journal store; pass one or the other)"
+                "checkpoint and store are mutually exclusive (a "
+                "checkpoint keys whole-circuit shards, a store keys "
+                "output cones, so neither resumes the other; only "
+                "checkpoint resumes a checkpoint journal)"
             )
         _validate_sharding(self.jobs, self.shard_size, self.executor, self.backend)
 
@@ -163,7 +165,7 @@ class VerifyRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[ShardCache] = None,
+        cache: Optional[ResultStore] = None,
         store: Optional[Any] = None,
     ) -> VerificationResult:
         """The single synchronous code path (CLI, service, and tests).
@@ -181,21 +183,15 @@ class VerifyRequest:
         opened = None
         journal = None
         if store is None and self.store is not None:
-            from .store import open_store
-
             store = opened = open_store(self.store)
         if self.checkpoint is not None:
-            # Imported lazily: the checkpoint layer must not make every
-            # service import pay for repro.distributed.
-            from .distributed.checkpoint import StackedCache, SweepCheckpoint
+            # Lazy, like every backend but memory: a plain verify never
+            # loads the journal backend.
+            from .store.journal import JournalStore
 
-            journal = SweepCheckpoint(self.checkpoint)
-            cache = (
-                StackedCache(journal, cache) if cache is not None else journal
-            )
+            journal = JournalStore(self.checkpoint)
+            cache = journal if cache is None else StackedStore(journal, cache)
         if store is not None and cache is not None:
-            from .store import StackedStore
-
             store = StackedStore(store, cache)
             cache = None
         try:
@@ -290,7 +286,7 @@ class SortRequest:
         self,
         on_shard: Optional[OnShard] = None,
         should_stop: Optional[ShouldStop] = None,
-        cache: Optional[ShardCache] = None,
+        cache: Optional[ResultStore] = None,
     ) -> List[List[Word]]:
         """Sort every vector; identical to the CLI ``sort`` semantics.
 

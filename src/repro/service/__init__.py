@@ -23,7 +23,6 @@ or programmatically::
         ...
 """
 
-from .cache import ShardCache
 from .client import AsyncServiceClient, ServiceClient, ServiceError
 from .jobs import (
     Job,
@@ -47,7 +46,6 @@ __all__ = [
     "ReproServer",
     "ServiceClient",
     "ServiceError",
-    "ShardCache",
     "SortRequest",
     "VerifyRequest",
     "request_from_dict",

@@ -21,9 +21,11 @@ Layering:
   buffered per job (late subscribers replay from the start) and fanned
   out to any number of ``async for`` consumers.
 
-The manager owns a :class:`~repro.service.cache.ShardCache`, so
-re-verifying an unedited circuit skips clean shards; the hit/miss
-counters are part of :meth:`JobManager.stats`.
+The manager owns a :class:`~repro.store.base.ResultStore` -- an
+in-process :class:`~repro.store.memory.MemoryStore`, fronted by a
+durable store when one is given -- so re-verifying an unedited circuit
+skips clean shards; the hit/miss counters are part of
+:meth:`JobManager.stats`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from ..requests import (
     VerifyRequest,
     request_from_dict,
 )
+from ..store import MemoryStore, StackedStore
 from ..verify.exhaustive import VerificationResult
 from ..verify.parallel import SweepCancelled
-from .cache import ShardCache
 
 __all__ = [
     "Job",
@@ -185,16 +187,11 @@ class JobManager:
         #: :class:`~repro.store.base.ResultStore`, e.g. ``serve
         #: --store``) a durable backend fronted by that LRU, so results
         #: survive restarts and are shared with CLI runs against the
-        #: same path.  ``cache`` is the historical alias for the same
-        #: object.
-        memory = ShardCache(maxsize=cache_size)
-        if store is not None:
-            from ..store import StackedStore
-
-            self.store: Any = StackedStore(store, memory)
-        else:
-            self.store = memory
-        self.cache = self.store
+        #: same path.
+        memory = MemoryStore(maxsize=cache_size)
+        self.store: Any = (
+            memory if store is None else StackedStore(store, memory)
+        )
         self._jobs: Dict[str, Job] = {}
         self._sem = asyncio.Semaphore(self.max_jobs)
         self._pool = ThreadPoolExecutor(
@@ -206,11 +203,11 @@ class JobManager:
     # -- accounting ----------------------------------------------------
     @property
     def cache_hits(self) -> int:
-        return self.cache.hits
+        return self.store.hits
 
     @property
     def cache_misses(self) -> int:
-        return self.cache.misses
+        return self.store.misses
 
     def stats(self) -> Dict[str, Any]:
         by_state: Dict[str, int] = {}
@@ -219,7 +216,7 @@ class JobManager:
         return {
             "jobs": by_state,
             "max_jobs": self.max_jobs,
-            "cache": self.cache.stats(),
+            "cache": self.store.stats(),
             # The uniform observability block (same shape as the CLI's
             # `verify --json` store section), including audit counters.
             "store": dict(
@@ -384,7 +381,7 @@ class JobManager:
                 job.request.run,
                 on_shard=on_shard,
                 should_stop=job._cancel.is_set,
-                cache=self.cache,
+                cache=self.store,
             )
             try:
                 result = await loop.run_in_executor(self._pool, body)

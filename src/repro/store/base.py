@@ -1,13 +1,9 @@
 """The ``ResultStore`` protocol: one seam for all result persistence.
 
-PRs 4-6 grew three divergent persistence layers -- the in-process LRU
-``ShardCache``, the append-only ``SweepCheckpoint`` journal, and the
-``StackedCache`` glue -- each speaking a slightly different get/put
-dialect.  This module is the unification: every backend (memory,
-journal, sqlite) and the stacking combinator implement one
-:class:`ResultStore` interface, and every consumer -- the sharded
-sweep, the service layer, the distributed workers, the CLI -- talks to
-that interface only.
+Every backend (memory, journal, sqlite) and the stacking combinator
+implement one :class:`ResultStore` interface, and every consumer --
+the sharded sweep, the service layer, the distributed workers, the
+CLI -- talks to that interface only.
 
 A store holds three record families:
 

@@ -1,11 +1,8 @@
 """The ``journal`` backend: an append-only JSON-lines result store.
 
-The durable sweep checkpoint from PR 6
-(``repro.distributed.checkpoint.SweepCheckpoint``), adapted behind the
-:class:`~repro.store.base.ResultStore` protocol -- the old class
-remains as a thin alias.  A coordinator that dies mid-sweep (SIGKILL,
-OOM, power) loses nothing: every released shard result is one JSON
-line, keyed on the same content-addressed tuples every other backend
+The durable sweep checkpoint behind ``verify --checkpoint``/
+``--resume``.  A coordinator that dies mid-sweep (SIGKILL, OOM,
+power) loses nothing: every released shard result is one JSON line, keyed on the same content-addressed tuples every other backend
 uses, so resume needs no new machinery -- journaled shards are skipped
 and only the unfinished remainder is dispatched.
 
@@ -18,9 +15,9 @@ Record formats, one JSON object per line::
     {"type": "value", "key": [...], "value": <any JSON>}
     {"type": "run", "run": {...}}
 
-``"result"`` is the PR-6 wire form for
-:class:`~repro.verify.exhaustive.VerificationResult` records (old
-journals load unchanged); ``"value"`` carries any other JSON value
+``"result"`` is the checkpoint wire form for
+:class:`~repro.verify.exhaustive.VerificationResult` records
+(``tests/data/checkpoint_b4_bigint.jsonl`` pins it); ``"value"`` carries any other JSON value
 (the per-region outcome dicts); ``"run"`` is one audit-trail record
 per completed sweep.
 

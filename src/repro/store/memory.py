@@ -1,8 +1,6 @@
 """The ``memory`` backend: a bounded in-process LRU result store.
 
-The LRU previously living in ``repro.service.cache.ShardCache``,
-extracted behind the :class:`~repro.store.base.ResultStore` protocol
-(``ShardCache`` remains as a thin alias).  Epochs and audit records are
+The job service's server-wide cache.  Epochs and audit records are
 kept in plain dicts/lists -- useful for the service layer's run
 counters and for tests, gone with the process by design.
 

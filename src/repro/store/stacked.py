@@ -1,8 +1,7 @@
 """The ``stacked`` combinator: layered stores with backfill.
 
-Replaces the ad-hoc ``StackedCache`` from PR 6 with a general
-combinator over any number of :class:`~repro.store.base.ResultStore`
-layers.  The canonical uses:
+A general combinator over any number of
+:class:`~repro.store.base.ResultStore` layers.  The canonical uses:
 
 * service layer: ``StackedStore(sqlite_or_journal, memory_lru)`` --
   durable ground truth in front, memory speed on repeat sweeps;
@@ -10,8 +9,7 @@ layers.  The canonical uses:
 
 Lookups try layers in order; a hit at any layer is backfilled into
 every *other* layer, so all layers converge on everything any of them
-knows (the journal-vs-memory bidirectional backfill from PR 6, now for
-any stack).  Batched lookups do the same a layer at a time: each
+knows.  Batched lookups do the same a layer at a time: each
 layer sees one ``get_many`` of the keys still missing.  Writes (single
 or batched), epoch records, and audit records go to every layer;
 claims go to the one shareable layer.

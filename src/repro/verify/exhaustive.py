@@ -105,7 +105,7 @@ class SweepEpoch:
         """Stable short digest of the whole descriptor.
 
         Content-addressed identity for an epoch *as serialized* -- the
-        checkpoint journal (:mod:`repro.distributed.checkpoint`) dedups
+        checkpoint journal (:mod:`repro.store.journal`) dedups
         its epoch records on it, and audits can match a journal to a
         sweep without comparing field by field.
         """

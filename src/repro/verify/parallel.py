@@ -11,10 +11,15 @@ deterministically with the others.  This module dispatches those shards
 across worker processes.
 
 **Executor registry.**  An executor is a strategy for running a worker
-function over a task list::
+function over a task list, called with one keyword contract::
 
-    executor(worker, tasks, jobs=..., initializer=..., initargs=...)
+    executor(worker, tasks, jobs=, initializer=, initargs=,
+             on_result=, should_stop=, epoch=)
         -> [worker(t) for t in tasks]      # results in task order
+
+``on_result`` streams each result in task order, ``should_stop`` is
+polled between tasks, and ``epoch`` describes the sweep's shared setup
+(see :func:`register_executor`).
 
 Two local executors ship by default:
 
@@ -43,7 +48,6 @@ batch workloads), so the outcome is bit-identical for any job count --
 
 from __future__ import annotations
 
-import inspect
 import os
 import socket
 import threading
@@ -106,62 +110,27 @@ class SweepCancelled(RuntimeError):
 
 
 _EXECUTORS: Dict[str, Executor] = {}
-#: Executors whose signature accepts ``on_result``/``should_stop``
-#: (detected at registration); others get the replay fallback.
-_STREAMING: Dict[str, bool] = {}
-#: Executors whose signature accepts ``epoch`` -- the sweep-setup
-#: descriptor remote workers key their compile caches on.  Local
-#: executors don't need it (the initializer already carries the
-#: circuit), so it is forwarded only where declared.
-_EPOCH_AWARE: Dict[str, bool] = {}
-
-
-def _signature_params(executor: Executor):
-    try:
-        params = inspect.signature(executor).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return None
-    return params
-
-
-def _supports_streaming(executor: Executor) -> bool:
-    params = _signature_params(executor)
-    if params is None:
-        return False
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return True
-    return {"on_result", "should_stop"} <= set(params)
-
-
-def _supports_epoch(executor: Executor) -> bool:
-    params = _signature_params(executor)
-    if params is None:
-        return False
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return True  # same **kwargs rule as the streaming detection
-    return "epoch" in params
 
 
 def register_executor(name: str, executor: Executor) -> None:
     """Register (or replace) an execution backend under ``name``.
 
-    Executors that accept ``on_result``/``should_stop`` keyword
-    arguments (detected by signature) get them forwarded natively for
-    per-task streaming and cooperative cancellation; legacy executors
-    without them still work -- :func:`run_sharded` replays their
-    completed results through ``on_result`` afterwards and only checks
-    ``should_stop`` up front.  Executors declaring an ``epoch``
-    keyword additionally receive the sweep's
-    :class:`~repro.verify.exhaustive.SweepEpoch` (the ``"distributed"``
-    executor ships it to remote workers).
+    Every executor takes one keyword contract::
+
+        executor(worker, tasks, jobs=, initializer=, initargs=,
+                 on_result=, should_stop=, epoch=) -> results
+
+    It runs ``initializer(*initargs)`` wherever ``worker`` runs,
+    returns the results in task order, calls ``on_result(i, result)``
+    (when given) in task order as each task completes, and polls
+    ``should_stop()`` (when given) between tasks, raising
+    :class:`SweepCancelled` with the completed results once it returns
+    true.  ``epoch`` is the sweep's
+    :class:`~repro.verify.exhaustive.SweepEpoch` or None; local
+    executors may ignore it (the initializer already carries the
+    circuit), the ``"distributed"`` executor ships it to remote workers.
     """
     _EXECUTORS[name] = executor
-    _STREAMING[name] = _supports_streaming(executor)
-    _EPOCH_AWARE[name] = _supports_epoch(executor)
 
 
 def available_executors() -> List[str]:
@@ -217,6 +186,7 @@ def _serial_executor(
     initargs: Tuple = (),
     on_result: Optional[OnResult] = None,
     should_stop: Optional[ShouldStop] = None,
+    epoch: Optional[SweepEpoch] = None,
 ) -> List[Any]:
     """Run every task in this process (reference implementation)."""
     if initializer is not None:
@@ -240,15 +210,16 @@ def _process_executor(
     initargs: Tuple = (),
     on_result: Optional[OnResult] = None,
     should_stop: Optional[ShouldStop] = None,
+    epoch: Optional[SweepEpoch] = None,
 ) -> List[Any]:
     """Fan tasks out over a ``multiprocessing`` pool, order-preserving.
 
     A pool is spawned even for ``jobs=1`` -- callers asked for process
     isolation by name, and benchmarks need the honest single-worker
-    pool overhead, not a silent serial fallback.  With streaming hooks
-    the pool switches from ``map`` to ordered ``imap`` so each result
-    surfaces (and ``should_stop`` is polled) as it completes; a stop
-    terminates the pool, abandoning in-flight shards.
+    pool overhead, not a silent serial fallback.  Results stream through
+    an ordered ``imap``, so each surfaces (and ``should_stop`` is
+    polled) as it completes; a stop terminates the pool, abandoning
+    in-flight shards.
     """
     if not tasks:
         return []
@@ -257,10 +228,8 @@ def _process_executor(
     with ctx.Pool(
         processes=jobs, initializer=initializer, initargs=initargs
     ) as pool:
-        # chunksize=1: shards are coarse already; keep scheduling greedy.
-        if on_result is None and should_stop is None:
-            return pool.map(worker, tasks, chunksize=1)
         out: List[Any] = []
+        # chunksize=1: shards are coarse already; keep scheduling greedy.
         results = pool.imap(worker, tasks, chunksize=1)
         for i in range(len(tasks)):
             if should_stop is not None and should_stop():
@@ -334,16 +303,11 @@ def run_sharded(
     completes -- the single progress seam shared by the CLI, the async
     service layer, and tests.  ``should_stop()`` is polled between
     tasks; returning true raises :class:`SweepCancelled` carrying the
-    results completed so far.  Executors registered without these
-    keywords still work: their whole-batch result is replayed through
-    ``on_result`` after the fact, and ``should_stop`` is only honoured
-    before dispatch.
-
-    ``epoch`` optionally describes the sweep's shared setup
-    (:class:`~repro.verify.exhaustive.SweepEpoch`); it is forwarded
-    only to executors that declare the keyword (``"distributed"``
-    workers key their compile caches on it and validate circuit
-    identity against it).
+    results completed so far.  ``epoch`` optionally describes the
+    sweep's shared setup (:class:`~repro.verify.exhaustive.SweepEpoch`;
+    ``"distributed"`` workers key their compile caches on it and
+    validate circuit identity against it).  All of them are passed to
+    every executor (see :func:`register_executor`).
     """
     tasks = list(tasks)
     jobs = default_jobs() if not jobs else max(1, jobs)
@@ -354,36 +318,16 @@ def run_sharded(
         raise KeyError(
             f"unknown executor {name!r}; available: {available_executors()}"
         ) from None
-    extra: Dict[str, Any] = {}
-    if epoch is not None and _EPOCH_AWARE.get(name, False):
-        extra["epoch"] = epoch
-    if on_result is None and should_stop is None:
-        return run(
-            worker, tasks, jobs=jobs, initializer=initializer,
-            initargs=initargs, **extra
-        )
-    if _STREAMING.get(name, False):
-        return run(
-            worker,
-            tasks,
-            jobs=jobs,
-            initializer=initializer,
-            initargs=initargs,
-            on_result=on_result,
-            should_stop=should_stop,
-            **extra,
-        )
-    # Legacy executor: no mid-run streaming, but the contract holds.
-    if should_stop is not None and should_stop():
-        raise SweepCancelled([])
-    out = run(
-        worker, tasks, jobs=jobs, initializer=initializer,
-        initargs=initargs, **extra
+    return run(
+        worker,
+        tasks,
+        jobs=jobs,
+        initializer=initializer,
+        initargs=initargs,
+        on_result=on_result,
+        should_stop=should_stop,
+        epoch=epoch,
     )
-    if on_result is not None:
-        for i, result in enumerate(out):
-            on_result(i, result)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +521,6 @@ def verify_two_sort_sharded(
     should_stop: Optional[ShouldStop] = None,
     cache: Optional[Any] = None,
     store: Optional[Any] = None,
-    regions: Optional[bool] = None,
 ) -> VerificationResult:
     """Exhaustively verify a 2-sort circuit with sharded execution.
 
@@ -599,22 +542,24 @@ def verify_two_sort_sharded(
     * ``should_stop()`` is polled between shards; a true return raises
       :class:`SweepCancelled` (cooperative cancellation -- in-flight
       shards on a process pool are abandoned);
-    * ``cache`` is an optional mapping-like object with
-      ``get(key)``/``put(key, value)`` (see
-      :class:`repro.service.cache.ShardCache`).  Shards are keyed on
-      ``(circuit.name, circuit.content_hash(), backend.name, width,
-      g_lo, g_hi)`` -- the content hash identifies the netlist
+    * ``cache`` is an optional object with ``get(key)``/``put(key,
+      value)`` -- any :class:`~repro.store.base.ResultStore`, e.g. the
+      service's :class:`~repro.store.memory.MemoryStore` or the
+      ``--checkpoint`` :class:`~repro.store.journal.JournalStore` --
+      keyed per **whole-circuit shard** on ``(circuit.name,
+      circuit.content_hash(), backend.name, width, g_lo, g_hi)`` --
+      the content hash identifies the netlist
       *structure*, so a rebuilt-but-identical circuit hits while any
       structural edit (which also bumps ``version``) misses, and two
       different circuits can never collide the way an in-process
       mutation counter could.  Hits skip the worker entirely but still
       count toward progress, and fresh results are inserted as they
       complete (so even a cancelled run warms the cache);
-    * ``store`` is a :class:`repro.store.base.ResultStore`: same role
-      as ``cache`` (either name works; ``store`` wins when both are
-      given) but it flips the sweep into **region granularity** --
-      every primary-output cone has its own result per g-row range,
-      keyed on the cone's *region* digest
+    * ``store`` is a :class:`repro.store.base.ResultStore` (or a
+      duck-typed ``get``/``put`` object): same role as ``cache``
+      (``store`` wins when both are given) but keyed per **output
+      cone** -- every primary-output cone has its own result per g-row
+      range, keyed on the cone's *region* digest
       (:meth:`Circuit.region_hashes`) instead of the whole-circuit
       hash.  A one-gate edit then re-executes only the cones it
       touched; untouched cones hit the store.  Work stays per range:
@@ -623,18 +568,17 @@ def verify_two_sort_sharded(
       circuit (a clean pass clears every cone) and runs the cone
       programs only for partial misses or after a mismatching pass.
       The store is read and written in one batch per range.
-      ``regions`` overrides the granularity explicitly (``store``
-      alone implies ``True``).  Shareable stores (sqlite) additionally
-      ship their spec to workers, which consult the store (get, then
-      claim the misses) *before executing* -- the no-double-execute
-      mechanism across processes and hosts.
+      Shareable stores (sqlite) additionally ship their spec to
+      workers, which consult the store (get, then claim the misses)
+      *before executing* -- the no-double-execute mechanism across
+      processes and hosts.
       Clean ranges merge into the report as synthetic all-clear counts;
       a range whose cone mismatches is re-verified at circuit
       granularity through the canonical
       :func:`~repro.verify.exhaustive.verify_two_sort_shard`, so the
       merged report is byte-identical to an uncached sweep.  Every
-      completed (non-plain) sweep appends a
-      :class:`~repro.store.base.RunRecord` audit row to the store.
+      completed sweep appends a :class:`~repro.store.base.RunRecord`
+      audit row to its ``store`` or ``cache``.
     """
     check_two_sort_shape(circuit, width)
     jobs = default_jobs() if not jobs else max(1, jobs)
@@ -661,38 +605,18 @@ def verify_two_sort_sharded(
         width=width,
         backend=backend,
     )
-    plain = (
-        on_shard is None and should_stop is None
-        and cache is None and store is None and not regions
-    )
-    if plain:
-        # The zero-overhead path: bit-for-bit the pre-service behaviour.
-        tasks = [(width, g_lo, g_hi) for g_lo, g_hi in shards]
-        results = run_sharded(
-            _verify_shard_worker,
-            tasks,
-            jobs=jobs,
-            executor=executor,
-            initializer=_init_verify_worker,
-            initargs=(circuit, backend),
-            epoch=epoch,
-        )
-        return VerificationResult.merge(results)
-
     backend_name = get_backend(backend).name
     circuit_hash = epoch.circuit_hash
     # `store` and `cache` are one seam with two granularities: `store`
-    # wins when both are given, and by default switches the sweep to
-    # per-region keys.
+    # (per-region keys) wins when both are given.
     handle = store if store is not None else cache
-    region_mode = regions if regions is not None else store is not None
     # Stores that journal sweeps (the journal backend) take the epoch
     # descriptor up front, so the journal is self-describing even if
     # the run dies before any shard completes.
     if handle is not None and hasattr(handle, "record_epoch"):
         handle.record_epoch(epoch, shards=total, shard_size=shard_size)
 
-    if region_mode:
+    if store is not None:
         merged = _run_region_sweep(
             circuit, width, shards, jobs, executor, backend, backend_name,
             circuit_hash, handle, on_shard, should_stop, epoch,
@@ -715,7 +639,7 @@ def verify_two_sort_sharded(
             failure_count=merged.failure_count,
             ok=merged.failure_count == 0,
             result_digest=result_digest(merged),
-            mode="regions" if region_mode else "shards",
+            mode="regions" if store is not None else "shards",
             host=socket.gethostname(),
             pid=os.getpid(),
             timestamp=time.time(),
@@ -737,7 +661,10 @@ def _run_circuit_sweep(
     should_stop: Optional[ShouldStop],
     epoch: SweepEpoch,
 ) -> VerificationResult:
-    """Circuit-granularity sweep: one key per whole-circuit shard."""
+    """Circuit-granularity sweep: one key per whole-circuit shard.
+
+    With no ``cache`` this is the plain sweep: every shard runs.
+    """
     total = len(shards)
 
     def shard_key(index: int) -> Tuple:
@@ -803,7 +730,7 @@ def _run_region_sweep(
     backend: BackendLike,
     backend_name: str,
     circuit_hash: str,
-    store: Optional[Any],
+    store: Any,
     on_shard: Optional[OnShard],
     should_stop: Optional[ShouldStop],
     epoch: SweepEpoch,
@@ -827,7 +754,7 @@ def _run_region_sweep(
     region_hashes = circuit.region_hashes()
     n_out = len(region_hashes)
     S = (1 << (width + 1)) - 1
-    if store is not None and not isinstance(store, ResultStore):
+    if not isinstance(store, ResultStore):
         # A duck-typed get/put cache gains the batch forms from a
         # one-layer stack.
         store = StackedStore(store)
@@ -843,8 +770,7 @@ def _run_region_sweep(
         for g_lo, g_hi in shards
     ]
     region_results: List[List[Optional[Dict[str, int]]]] = [
-        store.get_many(row) if store is not None else [None] * n_out
-        for row in keys
+        store.get_many(row) for row in keys
     ]
     pending = [
         i for i in range(total) if any(v is None for v in region_results[i])
@@ -862,7 +788,7 @@ def _run_region_sweep(
         # canonical per-pair failure messages via the full-circuit
         # shard (stored under the historical circuit-granularity key).
         ckey = (circuit.name, circuit_hash, backend_name, width, g_lo, g_hi)
-        hit = store.get(ckey) if store is not None else None
+        hit = store.get(ckey)
         if hit is not None:
             return hit
         if full_program is None:
@@ -870,8 +796,7 @@ def _run_region_sweep(
                 circuit, get_backend(backend)
             )
         result = verify_two_sort_shard(full_program, width, g_lo, g_hi)
-        if store is not None:
-            store.put(ckey, result)
+        store.put(ckey, result)
         return result
 
     results: List[Optional[VerificationResult]] = [None] * total
@@ -887,7 +812,7 @@ def _run_region_sweep(
             on_shard(done, total, results[i])
 
     if pending:
-        share = store.share_spec() if store is not None else None
+        share = store.share_spec()
         tasks = [
             (
                 width,
@@ -902,13 +827,12 @@ def _run_region_sweep(
             outputs = tasks[k][1]
             for o, value in zip(outputs, values):
                 region_results[i][o] = value
-            if store is not None:
-                # Idempotent for workers that already wrote through a
-                # shared handle (first write wins everywhere); local
-                # (non-shareable) stores learn the values here.
-                store.put_many([
-                    (keys[i][o], value) for o, value in zip(outputs, values)
-                ])
+            # Idempotent for workers that already wrote through a shared
+            # handle (first write wins everywhere); local (non-shareable)
+            # stores learn the values here.
+            store.put_many([
+                (keys[i][o], value) for o, value in zip(outputs, values)
+            ])
             # Tasks are range-ordered and executors are ordered, so
             # ranges complete ascending -- `done` stays monotonic.
             results[i] = _resolve(i)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from repro.circuits.netlist import Circuit
 from repro.core.two_sort import build_two_sort
 from repro.verify.exhaustive import (
+    SweepEpoch,
     VerificationResult,
     pair_shards,
     verify_two_sort_circuit,
 )
 from repro.verify.parallel import (
+    SweepCancelled,
     available_executors,
     plan_shards,
     register_executor,
@@ -73,12 +75,23 @@ class TestExecutorRegistry:
 
     def test_register_executor_hook(self):
         calls = []
+        epochs = []
 
-        def recording(worker, tasks, jobs, initializer=None, initargs=()):
+        # Keyword-only without defaults: a missing keyword is a TypeError.
+        def recording(worker, tasks, *, jobs, initializer, initargs,
+                      on_result, should_stop, epoch):
             calls.append((len(tasks), jobs))
+            epochs.append(epoch)
             if initializer is not None:
                 initializer(*initargs)
-            return [worker(t) for t in tasks]
+            out = []
+            for i, task in enumerate(tasks):
+                if should_stop is not None and should_stop():
+                    raise SweepCancelled(out)
+                out.append(worker(task))
+                if on_result is not None:
+                    on_result(i, out[-1])
+            return out
 
         register_executor("recording", recording)
         try:
@@ -86,6 +99,19 @@ class TestExecutorRegistry:
                               executor="recording")
             assert out == [2, 4, 6]
             assert calls == [(3, 5)]
+            assert epochs == [None]
+
+            circuit = build_two_sort(3)
+            got = verify_two_sort_sharded(
+                circuit, 3, jobs=1, shard_size=50, executor="recording"
+            )
+            assert got.to_json() == verify_two_sort_circuit(
+                circuit, 3
+            ).to_json()
+            epoch = epochs[-1]
+            assert isinstance(epoch, SweepEpoch)
+            assert epoch.circuit_hash == circuit.content_hash()
+            assert epoch.width == 3
         finally:
             from repro.verify.parallel import _EXECUTORS
 
@@ -236,29 +262,6 @@ class TestStreamingAndCancellation:
                 should_stop=lambda: len(seen) >= 2,
             )
         assert info.value.results == seen == [0, 2]
-
-    def test_legacy_executor_replays_on_result(self):
-        """Executors registered without the streaming keywords still
-        satisfy the on_result contract (after the fact)."""
-
-        def legacy(worker, tasks, jobs, initializer=None, initargs=()):
-            if initializer is not None:
-                initializer(*initargs)
-            return [worker(t) for t in tasks]
-
-        register_executor("legacy", legacy)
-        seen = []
-        try:
-            out = run_sharded(
-                lambda t: -t, [1, 2], jobs=1, executor="legacy",
-                on_result=lambda i, r: seen.append((i, r)),
-            )
-        finally:
-            from repro.verify.parallel import _EXECUTORS
-
-            del _EXECUTORS["legacy"]
-        assert out == [-1, -2]
-        assert seen == [(0, -1), (1, -2)]
 
     def test_verify_on_shard_progress_complete(self):
         snapshots = []

@@ -18,11 +18,11 @@ from repro.service import (
     ReproServer,
     ServiceClient,
     ServiceError,
-    ShardCache,
     SortRequest,
     VerifyRequest,
     request_from_dict,
 )
+from repro.store import MemoryStore
 from repro.verify.exhaustive import verify_two_sort_circuit
 from repro.verify.parallel import _EXECUTORS, _serial_executor, register_executor
 from repro.core.two_sort import build_two_sort
@@ -42,7 +42,7 @@ def throttled_executor():
     get a wide, deterministic window between shards."""
 
     def throttled(worker, tasks, jobs=1, initializer=None, initargs=(),
-                  on_result=None, should_stop=None):
+                  on_result=None, should_stop=None, epoch=None):
         def slow_worker(task):
             time.sleep(0.015)
             return worker(task)
@@ -138,18 +138,18 @@ class TestRequests:
 
 
 # ----------------------------------------------------------------------
-# ShardCache
+# MemoryStore, the service's LRU
 # ----------------------------------------------------------------------
 class TestShardCache:
     def test_hit_miss_counters(self):
-        cache = ShardCache(maxsize=4)
+        cache = MemoryStore(maxsize=4)
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lru_eviction(self):
-        cache = ShardCache(maxsize=2)
+        cache = MemoryStore(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh a
@@ -158,7 +158,7 @@ class TestShardCache:
         assert cache.get("a") == 1 and cache.get("c") == 3
 
     def test_disabled_cache_never_stores(self):
-        cache = ShardCache(maxsize=0)
+        cache = MemoryStore(maxsize=0)
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
@@ -169,7 +169,7 @@ class TestShardCache:
         toward maxsize.  The distributed path re-puts keys whenever an
         expired lease is re-run, so getting this wrong would evict live
         entries (or serve the stale value)."""
-        cache = ShardCache(maxsize=2)
+        cache = MemoryStore(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh + replace, still 2 entries
@@ -181,7 +181,7 @@ class TestShardCache:
         assert len(cache) == 2
 
     def test_put_existing_key_at_capacity_evicts_nothing(self):
-        cache = ShardCache(maxsize=2)
+        cache = MemoryStore(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("b", 20)
@@ -189,7 +189,7 @@ class TestShardCache:
         assert cache.get("a") == 1 and cache.get("b") == 20
 
     def test_stats_shape(self):
-        stats = ShardCache(maxsize=8).stats()
+        stats = MemoryStore(maxsize=8).stats()
         # The unified store protocol adds backend/puts/runs counters on
         # top of the historical shape.
         assert {"entries", "maxsize", "hits", "misses"} <= set(stats)

@@ -117,8 +117,8 @@ class TestBackendContract:
     def test_replay_semantics(self, store):
         # Durable backends are first-write-wins (replays from another
         # worker must be idempotent); the memory backend is an LRU
-        # *cache*, where re-put replaces (pinned by the historical
-        # ShardCache tests).  Either way a re-put never errors.
+        # *cache*, where re-put replaces (pinned by the LRU tests in
+        # test_service.py).  Either way a re-put never errors.
         key = ("c", "h", "bigint", 5, 0, 8)
         store.put(key, {"lanes": 1, "mismatches": 0})
         store.put(key, {"lanes": 2, "mismatches": 9})
@@ -606,7 +606,7 @@ class TestRegionSweep:
         cache = DictCache()
         for _ in range(2):
             got = verify_two_sort_sharded(
-                circuit, 4, jobs=1, cache=cache, regions=True
+                circuit, 4, jobs=1, store=cache
             )
             assert got.to_json() == plain.to_json()
         assert len(count_executions) == len(cache.data)
@@ -752,6 +752,49 @@ class TestSharedHandles:
         assert repro.store._SHARED == {}
         with SqliteStore(path) as store:
             assert len(store) == 16 * 10 and len(store.runs()) == 2
+
+    def test_inline_worker_agent_releases_its_handle(self, tmp_path):
+        # An inline (jobs=1) agent runs the sweep's initializer on its
+        # own thread, which acquires the shared handle; run() must give
+        # it back when the coordinator goes away.
+        from repro.distributed import (
+            ShardCoordinator,
+            ShardWorker,
+            use_coordinator,
+        )
+
+        circuit = build_two_sort(5)
+        plain = verify_two_sort_sharded(circuit, 5, jobs=1).to_json()
+        coordinator = ShardCoordinator(host="127.0.0.1", port=0).start()
+        agent = ShardWorker(
+            "127.0.0.1", coordinator.port, jobs=1, retry_max=0
+        )
+        errors = []
+
+        def serve():
+            try:
+                agent.run()
+            except ConnectionError:
+                pass
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with SqliteStore(str(tmp_path / "w.db")) as store:
+                spec = store.share_spec()
+                with use_coordinator(coordinator):
+                    got = verify_two_sort_sharded(
+                        circuit, 5, executor="distributed", store=store
+                    )
+                assert got.to_json() == plain
+                assert agent.completed > 0
+        finally:
+            coordinator.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive() and not errors, errors
+        assert (os.getpid(), spec) not in repro.store._SHARED
 
     def test_open_runs_outside_the_lock(self, monkeypatch):
         # Two threads open one spec at once: neither open holds the
